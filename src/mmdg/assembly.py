@@ -22,7 +22,6 @@ from .dg_core import (
     DGField,
     _face_trace_matrix,
     curl_vectors,
-    face_local_points,
     make_quadrature,
     monomial_values,
     ref_mass_12,
@@ -239,14 +238,34 @@ def assemble_oscillatory_load(mesh: HexMesh, xi_values: np.ndarray, k: float,
 
 
 def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
-                         e_prev: DGField, e_prev2: DGField) -> np.ndarray:
+                         e_prev, e_prev2) -> np.ndarray:
     """Load vector of the recursive mode source
     (2 k^2 eta E_prev + k^2 eta^2 E_prev2, basis)_D, exact for the
-    piecewise-polynomial integrand."""
-    if e_prev.mesh is not mesh or e_prev2.mesh is not mesh:
-        raise ValueError("mode fields must live on the assembly mesh")
+    piecewise-polynomial integrand.
+
+    For one sample, eta has shape (n_cells,) and the previous modes are
+    DGFields; the result has shape (n_dof,).  For a block of B samples,
+    eta has shape (n_cells, B) and the previous modes are coefficient
+    arrays of shape (n_dof, B), one column per sample; so is the result.
+    """
     eta = np.asarray(eta_values, dtype=float)
-    if eta.shape != (mesh.n_cells,):
+    if eta.shape[:1] != (mesh.n_cells,) or eta.ndim > 2:
         raise ValueError("eta sample must have one value per cell")
-    b = kernels.mode_source(e_prev.cellwise(), e_prev2.cellwise(), eta, k, mesh.h)
-    return b.reshape(-1)
+    block = eta.shape[1:]
+    prev, prev2 = (_mode_coeffs(mesh, e, block) for e in (e_prev, e_prev2))
+    b = kernels.mode_source(prev, prev2, eta, k, mesh.h)
+    return b.reshape(12 * mesh.n_cells, *block)
+
+
+def _mode_coeffs(mesh: HexMesh, e, block: tuple) -> np.ndarray:
+    """Cellwise (n_cells, 12, *block) view of a previous mode given as a
+    DGField or as an (n_dof, *block) coefficient array."""
+    if isinstance(e, DGField):
+        if e.mesh is not mesh:
+            raise ValueError("mode fields must live on the assembly mesh")
+        e = e.coeffs
+    coeffs = np.asarray(e, dtype=np.complex128)
+    if coeffs.shape != (12 * mesh.n_cells, *block):
+        raise ValueError(f"mode coefficients must have shape "
+                         f"{(12 * mesh.n_cells, *block)}, got {coeffs.shape}")
+    return coeffs.reshape(mesh.n_cells, 12, *block)

@@ -5,7 +5,9 @@ numbers comparisons, and convergence diagnostics.
 Per-sample randomness is drawn from counter-based streams keyed by
 (master seed, sample index, purpose), so the two algorithms see identical
 draws and results are independent of execution order and worker count.
-The sample mean is always accumulated in sample-index order.
+The sample mean is always accumulated in sample-index order; the
+multi-modes algorithm sums each fixed block of samples first, then the
+block sums in block order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .mesh import HexMesh, build_uniform_mesh
 from .random_field import CovarianceSpec, FieldSample, GaussianSampler, sample_uniform
 
 FIELD_KINDS = ("gaussian", "uniform")
+
+# Samples per block of the multi-modes recursion: each mode of a block is one
+# triangular solve with SAMPLE_BLOCK right-hand-side columns.
+SAMPLE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ class _FieldDraws:
 
 def _ordered_results(fn, M: int, workers: int):
     """Run fn(j) for j = 0..M-1, yielding results in index order.  With
-    workers > 1 samples run on a thread pool; the ordered yield keeps the
-    reduction deterministic."""
+    workers > 1 the calls (samples, or blocks of samples) run on a thread
+    pool; the ordered yield keeps the reduction deterministic."""
     if workers <= 1:
         for j in range(M):
             yield fn(j)
@@ -222,7 +228,8 @@ def run_standard(config: RunConfig) -> MCResult:
 
 def run_multimodes(config: RunConfig) -> MCResult:
     """Accelerated algorithm: one deterministic matrix, one LU
-    factorization, M*(N+1) triangular solves with recursive sources."""
+    factorization, then per block of SAMPLE_BLOCK samples N+1 block
+    triangular solves with recursive sources."""
     config.validate()
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
@@ -238,48 +245,55 @@ def run_multimodes(config: RunConfig) -> MCResult:
     fact = linalg.factorize(A)
     t_factor = time.perf_counter() - t0
 
-    eps_pow = config.epsilon ** np.arange(n_modes)
+    # the cut into blocks depends on M alone, never on the worker count
+    blocks = [range(j, min(j + SAMPLE_BLOCK, config.M))
+              for j in range(0, config.M, SAMPLE_BLOCK)]
 
-    def one_sample(j: int):
-        eta, xi = draws.draw(j)
-        b0 = assemble_oscillatory_load(mesh, xi.values, config.k, config.q_f)
-        modes = np.zeros((n_modes, n_dof), dtype=np.complex128)
+    def one_block(i: int):
+        """Per-mode sums over the block's samples of the modes E_n."""
+        block = blocks[i]
+        etas = np.empty((mesh.n_cells, len(block)))
+        b0 = np.empty((n_dof, len(block)), dtype=np.complex128)
+        stats = []
+        for col, j in enumerate(block):
+            eta, xi = draws.draw(j)
+            etas[:, col] = eta.values
+            b0[:, col] = assemble_oscillatory_load(mesh, xi.values, config.k,
+                                                   config.q_f)
+            stats.append((eta.sup_norm, eta.mu_hat))
+        mode_sums = np.empty((n_modes, n_dof), dtype=np.complex128)
         mode_times = np.zeros(n_modes)
-        e_prev = DGField.zeros(mesh)
-        e_prev2 = DGField.zeros(mesh)
+        e_prev = e_prev2 = np.zeros_like(b0)
         for n in range(n_modes):
             tn = time.perf_counter()
             if n == 0:
                 b = b0
             else:
-                b = assemble_mode_source(mesh, config.k, eta.values,
-                                         e_prev, e_prev2)
+                b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
             x = linalg.solve(fact, b)
-            modes[n] = x
-            e_prev2 = e_prev
-            e_prev = DGField(mesh, x)
+            mode_sums[n] = x.sum(axis=1)
+            e_prev2, e_prev = e_prev, x
             mode_times[n] = time.perf_counter() - tn
-        e_eps = eps_pow @ modes
-        return e_eps, modes, mode_times, (eta.sup_norm, eta.mu_hat)
+        return mode_sums, mode_times, stats
 
-    acc = np.zeros(n_dof, dtype=np.complex128)
     mode_acc = np.zeros((n_modes, n_dof), dtype=np.complex128)
     per_mode_s = np.zeros(n_modes)
     stats = []
     t_samples = time.perf_counter()
-    for e_eps, modes, mode_times, st in _ordered_results(
-        one_sample, config.M, config.workers
+    for mode_sums, mode_times, st in _ordered_results(
+        one_block, len(blocks), config.workers
     ):
-        acc += e_eps
-        mode_acc += modes
+        mode_acc += mode_sums
         per_mode_s += mode_times
-        stats.append(st)
+        stats.extend(st)
     t_end = time.perf_counter()
 
-    psi = DGField(mesh, acc / config.M)
+    eps_pow = config.epsilon ** np.arange(n_modes)
+    psi = DGField(mesh, eps_pow @ mode_acc / config.M)
     mode_means = [DGField(mesh, mode_acc[n] / config.M) for n in range(n_modes)]
     n_facts = linalg.factorization_count() - count0
-    assert n_facts == 1, f"expected exactly one factorization, saw {n_facts}"
+    if n_facts != 1:
+        raise RuntimeError(f"expected exactly one factorization, saw {n_facts}")
 
     fstats = _field_stats(stats)
     diag = diagnostics(config, mu=config.mu_user

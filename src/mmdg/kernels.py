@@ -48,13 +48,15 @@ def _mode_source_numpy(prev, prev2, eta, k, h):
     prev/prev2: (nc, 12) complex mode coefficients; eta: (nc,) per-cell
     constants.  Entries are exact integrals of
     (2 k^2 eta E_prev + k^2 eta^2 E_prev2) . basis over each cell.
-    Returns (nc, 12) complex.
+    Returns (nc, 12) complex.  A block of B samples carries a trailing
+    sample axis: prev/prev2 (nc, 12, B), eta (nc, B), result (nc, 12, B).
     """
     k2 = k * k
-    w = (2.0 * k2 * eta)[:, None] * prev + (k2 * eta * eta)[:, None] * prev2
-    w = w.reshape(len(eta), 3, 4)
-    b = (h ** 3) * np.einsum("am,ncm->nca", REF_MONOMIAL_MASS, w)
-    return b.reshape(len(eta), 12)
+    eta = eta[:, None]
+    w = (2.0 * k2 * eta) * prev + (k2 * eta * eta) * prev2
+    w = w.reshape(len(eta), 3, 4, *prev.shape[2:])
+    b = (h ** 3) * np.einsum("am,ncm...->nca...", REF_MONOMIAL_MASS, w)
+    return b.reshape(prev.shape)
 
 
 if USE_NUMBA:
@@ -107,6 +109,13 @@ def oscillatory_load(lowers, h, xi, k, qpts, qwts, mono):
 
 def mode_source(prev, prev2, eta, k, h):
     if USE_NUMBA:
+        if prev.ndim == 3:
+            # a block of samples: the compiled kernel runs column by column
+            return np.stack(
+                [mode_source(prev[:, :, s], prev2[:, :, s], eta[:, s], k, h)
+                 for s in range(prev.shape[2])],
+                axis=2,
+            )
         return _mode_source_numba(
             np.ascontiguousarray(prev), np.ascontiguousarray(prev2),
             np.ascontiguousarray(eta), k, h, REF_MONOMIAL_MASS,

@@ -365,6 +365,25 @@ def test_mode_source_mesh_mismatch():
                              DGField.zeros(m2))
 
 
+def test_mode_source_block_matches_single_samples():
+    mesh = build_uniform_mesh(2)
+    rng = np.random.default_rng(6)
+    n, B = 12 * mesh.n_cells, 3
+    eta = rng.uniform(-1, 1, (mesh.n_cells, B))
+    u = rng.normal(size=(n, B)) + 1j * rng.normal(size=(n, B))
+    v = rng.normal(size=(n, B)) + 1j * rng.normal(size=(n, B))
+    b = assemble_mode_source(mesh, 2.0, eta, u, v)
+    assert b.shape == (n, B)
+    for s in range(B):
+        ref = assemble_mode_source(mesh, 2.0, eta[:, s], DGField(mesh, u[:, s]),
+                                   DGField(mesh, v[:, s]))
+        assert np.allclose(b[:, s], ref, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError):
+        assemble_mode_source(mesh, 2.0, eta, u[:, :2], v)
+    with pytest.raises(ValueError):
+        assemble_mode_source(mesh, 2.0, eta[..., None], u, v)
+
+
 def test_export_coo(tmp_path):
     mesh = build_uniform_mesh(1)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)

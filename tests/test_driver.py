@@ -5,6 +5,7 @@ import pytest
 
 from mmdg.dg_core import DGField, l2_norm
 from mmdg.driver import (
+    SAMPLE_BLOCK,
     MCResult,
     RunConfig,
     compare_algorithms,
@@ -218,3 +219,57 @@ def test_uniform_field_run():
     r = run_multimodes(cfg)
     assert np.all(np.isfinite(r.psi.coeffs))
     assert r.field_stats["sup_norm_max"] <= 1.0
+
+
+def _reference_multimodes(cfg):
+    """Sample-by-sample mode recursion, one solve per sample and mode."""
+    from mmdg import linalg
+    from mmdg.assembly import (assemble_a_h, assemble_mode_source,
+                               assemble_oscillatory_load)
+    from mmdg.driver import _FieldDraws
+
+    mesh = build_uniform_mesh(cfg.L)
+    draws = _FieldDraws(mesh, cfg)
+    fact = linalg.factorize(assemble_a_h(mesh, cfg.k, cfg.lam, cfg.gamma0,
+                                         cfg.gamma1))
+    sums = np.zeros((cfg.N + 1, 12 * mesh.n_cells), dtype=complex)
+    for j in range(cfg.M):
+        eta, xi = draws.draw(j)
+        e_prev = e_prev2 = DGField.zeros(mesh)
+        for n in range(cfg.N + 1):
+            if n == 0:
+                b = assemble_oscillatory_load(mesh, xi.values, cfg.k, cfg.q_f)
+            else:
+                b = assemble_mode_source(mesh, cfg.k, eta.values, e_prev,
+                                         e_prev2)
+            x = linalg.solve(fact, b)
+            sums[n] += x
+            e_prev2, e_prev = e_prev, DGField(mesh, x)
+    means = sums / cfg.M
+    psi = (cfg.epsilon ** np.arange(cfg.N + 1)) @ means
+    return psi, means
+
+
+@pytest.mark.parametrize("M", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                               2 * SAMPLE_BLOCK + 1])
+def test_block_partition_matches_sample_by_sample(M):
+    cfg = dataclasses.replace(SMALL, M=M, N=3)
+    r = run_multimodes(cfg)
+    psi, means = _reference_multimodes(cfg)
+    assert (np.linalg.norm(r.psi.coeffs - psi)
+            <= 1e-12 * np.linalg.norm(psi))
+    for n, phi in enumerate(r.mode_means):
+        assert (np.linalg.norm(phi.coeffs - means[n])
+                <= 1e-12 * np.linalg.norm(means[n]))
+    if M == 2 * SAMPLE_BLOCK + 1:
+        r3 = run_multimodes(dataclasses.replace(cfg, workers=3))
+        assert np.array_equal(r.psi.coeffs, r3.psi.coeffs)
+
+
+def test_multimodes_raises_on_extra_factorization(monkeypatch):
+    from mmdg import linalg
+
+    counts = iter([0, 2])
+    monkeypatch.setattr(linalg, "factorization_count", lambda: next(counts))
+    with pytest.raises(RuntimeError, match="exactly one factorization"):
+        run_multimodes(dataclasses.replace(SMALL, M=1, N=1))

@@ -133,3 +133,33 @@ def test_reuse_beats_refactorization():
         linalg.solve(linalg.factorize(A), b)
     t_factor = time.perf_counter() - t0
     assert t_factor / t_solve >= 5.0
+
+
+def test_block_solve_matches_column_solves():
+    mesh = build_uniform_mesh(3)
+    fact = linalg.factorize(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1))
+    rng = np.random.default_rng(5)
+    B = 5
+    b = rng.normal(size=(fact.n, B)) + 1j * rng.normal(size=(fact.n, B))
+    x = linalg.solve(fact, b)
+    assert x.shape == (fact.n, B)
+    for col in range(B):
+        ref = linalg.solve(fact, b[:, col])
+        assert np.linalg.norm(x[:, col] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_block_solve_shape_mismatch():
+    fact = linalg.factorize(sp.identity(4, dtype=complex, format="csc"))
+    with pytest.raises(ValueError):
+        linalg.solve(fact, np.zeros((5, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        linalg.solve(fact, np.zeros((4, 3, 2), dtype=complex))
+
+
+def test_ordering_keeps_fill_low():
+    # minimum degree on A + A^T fills A_h 6.3x at L=4; COLAMD filled it
+    # 10.2x, so a silent return to an unsymmetric ordering fails here
+    A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
+    fact = linalg.factorize(A)
+    nnz_lu = fact.lu.L.nnz + fact.lu.U.nnz
+    assert nnz_lu / A.matrix.nnz < 8.0
