@@ -22,6 +22,7 @@ from .dg_core import (
     DGField,
     _face_trace_matrix,
     curl_vectors,
+    gauss01,
     make_quadrature,
     monomial_values,
     ref_mass_12,
@@ -224,17 +225,20 @@ def assemble_load(mesh: HexMesh, f, q_f: int = 4) -> np.ndarray:
 def assemble_oscillatory_load(mesh: HexMesh, xi_values: np.ndarray, k: float,
                               q_f: int = 4) -> np.ndarray:
     """Load vector for the plane-wave-type source
-    f_c(x) = exp(i k (1 + xi) x_c) with xi constant per cell."""
+    f_c(x) = exp(i k (1 + xi) x_c) with xi constant per cell, under the
+    q_f-point tensor Gauss rule.
+
+    For one sample, xi has shape (n_cells,) and the result (n_dof,).  For
+    a block of B samples, xi has shape (n_cells, B), one column per
+    sample, and the result (n_dof, B).
+    """
     xi = np.asarray(xi_values, dtype=float)
-    if xi.shape != (mesh.n_cells,):
+    if xi.shape[:1] != (mesh.n_cells,) or xi.ndim > 2:
         raise ValueError("xi sample must have one value per cell")
-    quad = make_quadrature(q_f)
+    t, w = gauss01(q_f)
     lowers = mesh.cell_lower(np.arange(mesh.n_cells))
-    mono = monomial_values(quad.cell_points)
-    b = kernels.oscillatory_load(
-        lowers, mesh.h, xi, k, quad.cell_points, quad.cell_weights, mono
-    )
-    return b.reshape(-1)
+    b = kernels.oscillatory_load(lowers, mesh.h, xi, k, t, w)
+    return b.reshape(12 * mesh.n_cells, *xi.shape[1:])
 
 
 def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,

@@ -192,6 +192,8 @@ def run_standard(config: RunConfig) -> MCResult:
         fact = linalg.factorize(A)
         b = assemble_oscillatory_load(mesh, xi.values, config.k, config.q_f)
         x = linalg.solve(fact, b)
+        if not np.isfinite(x).all():
+            raise FloatingPointError(f"non-finite solution of sample {j}")
         return x, (eta.sup_norm, eta.mu_hat)
 
     acc = np.zeros(n_dof, dtype=np.complex128)
@@ -228,8 +230,8 @@ def run_standard(config: RunConfig) -> MCResult:
 
 def run_multimodes(config: RunConfig) -> MCResult:
     """Accelerated algorithm: one deterministic matrix, one LU
-    factorization, then per block of SAMPLE_BLOCK samples N+1 block
-    triangular solves with recursive sources."""
+    factorization, then per block of SAMPLE_BLOCK samples one load call
+    and N+1 block triangular solves with recursive sources."""
     config.validate()
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
@@ -253,14 +255,14 @@ def run_multimodes(config: RunConfig) -> MCResult:
         """Per-mode sums over the block's samples of the modes E_n."""
         block = blocks[i]
         etas = np.empty((mesh.n_cells, len(block)))
-        b0 = np.empty((n_dof, len(block)), dtype=np.complex128)
+        xis = np.empty((mesh.n_cells, len(block)))
         stats = []
         for col, j in enumerate(block):
             eta, xi = draws.draw(j)
             etas[:, col] = eta.values
-            b0[:, col] = assemble_oscillatory_load(mesh, xi.values, config.k,
-                                                   config.q_f)
+            xis[:, col] = xi.values
             stats.append((eta.sup_norm, eta.mu_hat))
+        b0 = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
         mode_sums = np.empty((n_modes, n_dof), dtype=np.complex128)
         mode_times = np.zeros(n_modes)
         e_prev = e_prev2 = np.zeros_like(b0)
@@ -272,6 +274,11 @@ def run_multimodes(config: RunConfig) -> MCResult:
                 b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
             x = linalg.solve(fact, b)
             mode_sums[n] = x.sum(axis=1)
+            if not np.isfinite(mode_sums[n]).all():
+                raise FloatingPointError(
+                    f"non-finite mode {n} in the block of samples "
+                    f"{block.start}..{block.stop - 1}"
+                )
             e_prev2, e_prev = e_prev, x
             mode_times[n] = time.perf_counter() - tn
         return mode_sums, mode_times, stats

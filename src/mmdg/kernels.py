@@ -1,48 +1,58 @@
-"""Hot kernels of the sampling loop.
+"""Hot kernels of the sampling loop, in numpy.
 
-Two implementations are provided for each kernel: a numba @njit version and
-a pure-numpy fallback.  Selection happens at import time; set the
-environment variable MMDG_NO_NUMBA=1 to force the numpy path (e.g. for
-debugging or on platforms without numba).  `benchmarks/bench_kernels.py`
-compares the two.
+The oscillatory load is evaluated per axis.  The source component
+f_c(x) = exp(i k (1+xi) x_c) depends on x_c alone, and the cell rule is a
+q-point tensor Gauss rule in local coordinates t with weights w_t summing
+to 1.  With e_c(t) = exp(i k (1+xi) (lower_c + h t)),
+S0_c = sum_t w_t e_c(t) and S1_c = sum_t w_t t e_c(t), the tensor rule
+gives for the monomials (1, t_0, t_1, t_2) of component c
+
+    b[4c+0]   = h^3 S0_c
+    b[4c+1+c] = h^3 S1_c
+    b[4c+1+d] = h^3 S0_c sum_t w_t t      (d != c),
+
+so a cell costs q exponentials per axis instead of q^3 per component
+(sum factorization of a tensor-product rule).
+
+Both kernels take one sample, or a block of B samples along a trailing
+axis.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .dg_core import REF_MONOMIAL_MASS
 
-USE_NUMBA = os.environ.get("MMDG_NO_NUMBA", "0") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# The kernels have no compiled variant; kept for the benchmark's
+# environment stamp, which records it.
+USE_NUMBA = False
 
 
-def _oscillatory_load_numpy(lowers, h, xi, k, qpts, qwts, mono):
+def oscillatory_load(lowers, h, xi, k, t, w):
     """Load vector entries for f_c(x) = exp(i k (1+xi) x_c), xi constant
-    per cell.
+    per cell, under the tensor rule built from the 1-D rule (t, w).
 
-    lowers: (nc, 3) cell lower corners; qpts: (nq, 3) local points;
-    qwts: (nq,) weights summing to 1; mono: (nq, 4) monomial values.
-    Returns (nc, 12) complex.
+    lowers: (nc, 3) cell lower corners; t, w: (q,) local points and
+    weights on [0, 1], weights summing to 1; xi: (nc,) or (nc, B).
+    Returns (nc, 12) or (nc, 12, B) complex.
     """
     nc = len(lowers)
-    phys = lowers[:, None, :] + h * qpts[None, :, :]        # (nc, nq, 3)
-    phase = 1j * k * (1.0 + xi)[:, None, None] * phys        # (nc, nq, 3)
-    f = np.exp(phase)                                        # (nc, nq, 3)
-    vol = h ** 3
-    # b[cell, 4c+m] = vol * sum_q w_q f_c(x_q) mono_m(q)
-    b = vol * np.einsum("q,nqc,qm->ncm", qwts, f, mono)
-    return b.reshape(nc, 12)
+    block = xi.shape[1:]
+    x = (lowers[:, :, None] + h * t).reshape(nc, 3, len(t), *(1,) * len(block))
+    kk = (k * (1.0 + xi)).reshape(nc, 1, 1, *block)
+    e = np.exp(1j * kk * x)                                  # (nc, 3, q, *B)
+    s0 = np.einsum("q,ncq...->nc...", w, e)                  # (nc, 3, *B)
+    s1 = np.einsum("q,ncq...->nc...", w * t, e)
+    b = np.empty((nc, 3, 4, *block), dtype=np.complex128)
+    b[:, :, 0] = s0
+    b[:, :, 1:] = (s0 * np.dot(w, t))[:, :, None]
+    axes = np.arange(3)
+    b[:, axes, 1 + axes] = s1
+    return (h ** 3) * b.reshape(nc, 12, *block)
 
 
-def _mode_source_numpy(prev, prev2, eta, k, h):
+def mode_source(prev, prev2, eta, k, h):
     """Coefficients of the recursive mode source load vector.
 
     prev/prev2: (nc, 12) complex mode coefficients; eta: (nc,) per-cell
@@ -57,67 +67,3 @@ def _mode_source_numpy(prev, prev2, eta, k, h):
     w = w.reshape(len(eta), 3, 4, *prev.shape[2:])
     b = (h ** 3) * np.einsum("am,ncm...->nca...", REF_MONOMIAL_MASS, w)
     return b.reshape(prev.shape)
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _oscillatory_load_numba(lowers, h, xi, k, qpts, qwts, mono):  # pragma: no cover - exercised via dispatch
-        nc = lowers.shape[0]
-        nq = qpts.shape[0]
-        vol = h ** 3
-        out = np.zeros((nc, 12), dtype=np.complex128)
-        for n in range(nc):
-            kk = k * (1.0 + xi[n])
-            for q in range(nq):
-                w = qwts[q] * vol
-                for c in range(3):
-                    x = lowers[n, c] + h * qpts[q, c]
-                    fc = np.exp(1j * kk * x)
-                    for m in range(4):
-                        out[n, 4 * c + m] += w * fc * mono[q, m]
-        return out
-
-    @njit(cache=True)
-    def _mode_source_numba(prev, prev2, eta, k, h, ref_mass):  # pragma: no cover
-        nc = prev.shape[0]
-        k2 = k * k
-        vol = h ** 3
-        out = np.zeros((nc, 12), dtype=np.complex128)
-        for n in range(nc):
-            a2 = 2.0 * k2 * eta[n]
-            a1 = k2 * eta[n] * eta[n]
-            for c in range(3):
-                for a in range(4):
-                    acc = 0.0 + 0.0j
-                    for m in range(4):
-                        w = a2 * prev[n, 4 * c + m] + a1 * prev2[n, 4 * c + m]
-                        acc += ref_mass[a, m] * w
-                    out[n, 4 * c + a] = vol * acc
-        return out
-
-
-def oscillatory_load(lowers, h, xi, k, qpts, qwts, mono):
-    if USE_NUMBA:
-        return _oscillatory_load_numba(
-            np.ascontiguousarray(lowers), h, np.ascontiguousarray(xi), k,
-            np.ascontiguousarray(qpts), np.ascontiguousarray(qwts),
-            np.ascontiguousarray(mono),
-        )
-    return _oscillatory_load_numpy(lowers, h, xi, k, qpts, qwts, mono)
-
-
-def mode_source(prev, prev2, eta, k, h):
-    if USE_NUMBA:
-        if prev.ndim == 3:
-            # a block of samples: the compiled kernel runs column by column
-            return np.stack(
-                [mode_source(prev[:, :, s], prev2[:, :, s], eta[:, s], k, h)
-                 for s in range(prev.shape[2])],
-                axis=2,
-            )
-        return _mode_source_numba(
-            np.ascontiguousarray(prev), np.ascontiguousarray(prev2),
-            np.ascontiguousarray(eta), k, h, REF_MONOMIAL_MASS,
-        )
-    return _mode_source_numpy(prev, prev2, eta, k, h)

@@ -18,7 +18,6 @@ L=8, and every triangular solve reads correspondingly fewer entries.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 
@@ -33,10 +32,6 @@ class SingularMatrixError(RuntimeError):
     """Raised when the system matrix is numerically singular.  This
     signals a configuration error: the IP-DG system is provably uniquely
     solvable for valid parameters."""
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
 
 
 @dataclass
@@ -56,11 +51,6 @@ def factorization_count() -> int:
     return _factorization_count
 
 
-def reset_factorization_count() -> None:
-    global _factorization_count
-    _factorization_count = 0
-
-
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix (or a SystemMatrix wrapper)."""
     global _factorization_count
@@ -72,10 +62,8 @@ def factorize(A) -> Factorization:
     try:
         lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        m = re.search(r"singular.*?(\d+)", str(exc), re.IGNORECASE)
-        pivot = int(m.group(1)) if m else None
         raise SingularMatrixError(
-            f"sparse LU failed, matrix is numerically singular: {exc}", pivot
+            f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
     dt = time.perf_counter() - t0
     _factorization_count += 1

@@ -112,10 +112,6 @@ def sample_uniform(mesh: HexMesh, rng: np.random.Generator) -> FieldSample:
     return _make_sample(mesh, values, "uniform")
 
 
-def constant_sample(mesh: HexMesh, value: float = 0.0) -> FieldSample:
-    return _make_sample(mesh, np.full(mesh.n_cells, value), "constant")
-
-
 @dataclass
 class KLBasis:
     """Discrete Karhunen-Loeve basis of the cell-center covariance."""

@@ -384,6 +384,26 @@ def test_mode_source_block_matches_single_samples():
         assemble_mode_source(mesh, 2.0, eta[..., None], u, v)
 
 
+def test_oscillatory_load_block_matches_single_samples():
+    mesh = build_uniform_mesh(2)
+    rng = np.random.default_rng(8)
+    B = 3
+    xi = rng.uniform(-1, 1, (mesh.n_cells, B))
+    b = assemble_oscillatory_load(mesh, xi, 2.0, q_f=4)
+    assert b.shape == (12 * mesh.n_cells, B)
+    for s in range(B):
+        ref = assemble_oscillatory_load(mesh, xi[:, s], 2.0, q_f=4)
+        assert np.allclose(b[:, s], ref, rtol=1e-14, atol=1e-14)
+
+
+def test_oscillatory_load_bad_shapes_rejected():
+    mesh = build_uniform_mesh(2)
+    with pytest.raises(ValueError):
+        assemble_oscillatory_load(mesh, np.zeros(mesh.n_cells + 1), 2.0)
+    with pytest.raises(ValueError):
+        assemble_oscillatory_load(mesh, np.zeros((mesh.n_cells, 2, 2)), 2.0)
+
+
 def test_export_coo(tmp_path):
     mesh = build_uniform_mesh(1)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)

@@ -273,3 +273,19 @@ def test_multimodes_raises_on_extra_factorization(monkeypatch):
     monkeypatch.setattr(linalg, "factorization_count", lambda: next(counts))
     with pytest.raises(RuntimeError, match="exactly one factorization"):
         run_multimodes(dataclasses.replace(SMALL, M=1, N=1))
+
+
+@pytest.mark.parametrize("run, where", [
+    (run_multimodes, "mode 0 in the block of samples 0..1"),
+    (run_standard, "sample 0"),
+])
+def test_non_finite_load_raises(run, where, monkeypatch):
+    from mmdg import driver
+
+    def nan_load(mesh, xi, k, q_f=4):
+        return np.full((12 * mesh.n_cells, *np.shape(xi)[1:]), np.nan,
+                       dtype=complex)
+
+    monkeypatch.setattr(driver, "assemble_oscillatory_load", nan_load)
+    with pytest.raises(FloatingPointError, match=f"non-finite .*{where}"):
+        run(dataclasses.replace(SMALL, M=2, N=1))

@@ -1,71 +1,87 @@
 import numpy as np
 
 from mmdg import kernels
-from mmdg.dg_core import make_quadrature, monomial_values
+from mmdg.dg_core import gauss01, make_quadrature, monomial_values
 from mmdg.mesh import build_uniform_mesh
 
 
-def _load_inputs(L=3, q=4, seed=0):
+def _oracle_oscillatory_load(lowers, h, xi, k, q):
+    """Brute-force q^3-point tensor rule, every component at every point."""
+    quad = make_quadrature(q)
+    mono = monomial_values(quad.cell_points)                   # (nq, 4)
+    phys = lowers[:, None, :] + h * quad.cell_points[None, :, :]
+    f = np.exp(1j * k * (1.0 + xi)[:, None, None] * phys)     # (nc, nq, 3)
+    b = h ** 3 * np.einsum("q,nqc,qm->ncm", quad.cell_weights, f, mono)
+    return b.reshape(len(lowers), 12)
+
+
+def _oracle_mode_source(prev, prev2, eta, k, h):
+    """Cell by cell, with the reference monomial mass written out."""
+    mass = np.array([[1, 1 / 2, 1 / 2, 1 / 2],
+                     [1 / 2, 1 / 3, 1 / 4, 1 / 4],
+                     [1 / 2, 1 / 4, 1 / 3, 1 / 4],
+                     [1 / 2, 1 / 4, 1 / 4, 1 / 3]])
+    out = np.zeros_like(prev)
+    for n in range(len(prev)):
+        w = 2 * k * k * eta[n] * prev[n] + k * k * eta[n] ** 2 * prev2[n]
+        for c in range(3):
+            out[n, 4 * c:4 * c + 4] = h ** 3 * mass @ w[4 * c:4 * c + 4]
+    return out
+
+
+def _load_inputs(L, xi_shape=(), seed=0):
     mesh = build_uniform_mesh(L)
     rng = np.random.default_rng(seed)
-    quad = make_quadrature(q)
     lowers = mesh.cell_lower(np.arange(mesh.n_cells))
-    xi = rng.uniform(-1, 1, mesh.n_cells)
-    mono = monomial_values(quad.cell_points)
-    return lowers, mesh.h, xi, 2.0, quad.cell_points, quad.cell_weights, mono
+    xi = rng.uniform(-1, 1, (mesh.n_cells, *xi_shape))
+    return lowers, mesh.h, xi
 
 
-def test_oscillatory_load_paths_agree():
-    args = _load_inputs()
-    ref = kernels._oscillatory_load_numpy(*args)
-    got = kernels.oscillatory_load(*args)
-    assert np.allclose(got, ref, atol=1e-13)
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def test_mode_source_paths_agree():
+def test_oscillatory_load_matches_oracle():
+    for L in (1, 3):
+        lowers, h, xi = _load_inputs(L)
+        for q in (1, 2, 3, 4, 8):
+            ref = _oracle_oscillatory_load(lowers, h, xi, 2.0, q)
+            got = kernels.oscillatory_load(lowers, h, xi, 2.0, *gauss01(q))
+            assert got.shape == (len(lowers), 12)
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-14 * np.linalg.norm(ref)), (L, q)
+
+
+def test_oscillatory_load_block_matches_columns():
+    lowers, h, xi = _load_inputs(3, xi_shape=(5,), seed=3)
+    t, w = gauss01(4)
+    block = kernels.oscillatory_load(lowers, h, xi, 2.0, t, w)
+    assert block.shape == (len(lowers), 12, 5)
+    for s in range(5):
+        col = kernels.oscillatory_load(lowers, h, xi[:, s], 2.0, t, w)
+        assert np.allclose(block[:, :, s], col, rtol=0, atol=1e-15)
+
+
+def test_mode_source_matches_oracle():
     rng = np.random.default_rng(1)
     nc = 27
-    prev = rng.normal(size=(nc, 12)) + 1j * rng.normal(size=(nc, 12))
-    prev2 = rng.normal(size=(nc, 12)) + 1j * rng.normal(size=(nc, 12))
+    prev = _complex_normal(rng, (nc, 12))
+    prev2 = _complex_normal(rng, (nc, 12))
     eta = rng.uniform(-1, 1, nc)
-    ref = kernels._mode_source_numpy(prev, prev2, eta, 2.0, 1 / 3)
+    ref = _oracle_mode_source(prev, prev2, eta, 2.0, 1 / 3)
     got = kernels.mode_source(prev, prev2, eta, 2.0, 1 / 3)
-    assert np.allclose(got, ref, atol=1e-13)
+    assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
 
-def test_mode_source_block_matches_columns(monkeypatch):
+def test_mode_source_block_matches_columns():
     rng = np.random.default_rng(2)
     nc, B = 27, 4
-    prev = rng.normal(size=(nc, 12, B)) + 1j * rng.normal(size=(nc, 12, B))
-    prev2 = rng.normal(size=(nc, 12, B)) + 1j * rng.normal(size=(nc, 12, B))
+    prev = _complex_normal(rng, (nc, 12, B))
+    prev2 = _complex_normal(rng, (nc, 12, B))
     eta = rng.uniform(-1, 1, (nc, B))
     block = kernels.mode_source(prev, prev2, eta, 2.0, 1 / 3)
     assert block.shape == (nc, 12, B)
     for s in range(B):
-        col = kernels._mode_source_numpy(prev[:, :, s], prev2[:, :, s],
-                                         eta[:, s], 2.0, 1 / 3)
-        assert np.allclose(block[:, :, s], col, atol=1e-13)
-    # the compiled dispatch runs the one-sample kernel column by column;
-    # stand the numpy kernel in for it, numba being optional
-    monkeypatch.setattr(kernels, "USE_NUMBA", True)
-    monkeypatch.setattr(
-        kernels, "_mode_source_numba",
-        lambda p, p2, e, k, h, ref: kernels._mode_source_numpy(p, p2, e, k, h),
-        raising=False,
-    )
-    got = kernels.mode_source(prev, prev2, eta, 2.0, 1 / 3)
-    assert np.allclose(got, block, atol=1e-13)
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    import importlib
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['MMDG_NO_NUMBA'] = '1';"
-        "from mmdg import kernels; print(kernels.USE_NUMBA)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+        col = _oracle_mode_source(prev[:, :, s], prev2[:, :, s], eta[:, s],
+                                  2.0, 1 / 3)
+        assert np.allclose(block[:, :, s], col, rtol=0, atol=1e-13)
