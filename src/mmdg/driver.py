@@ -5,9 +5,10 @@ numbers comparisons, and convergence diagnostics.
 Per-sample randomness is drawn from counter-based streams keyed by
 (master seed, sample index, purpose), so the two algorithms see identical
 draws and results are independent of execution order and worker count.
-The sample mean is always accumulated in sample-index order; the
-multi-modes algorithm sums each fixed block of samples first, then the
-block sums in block order.
+Both algorithms run one block loop: the samples are cut into fixed
+consecutive blocks (SAMPLE_BLOCK samples for the multi-modes algorithm,
+one for the reference), each block's per-mode sums are formed first, and
+the block sums are added in block order.
 """
 
 from __future__ import annotations
@@ -126,32 +127,23 @@ class _FieldDraws:
         return eta, xi
 
 
-def _ordered_results(fn, M: int, workers: int):
-    """Run fn(j) for j = 0..M-1, yielding results in index order.  With
-    workers > 1 the calls (samples, or blocks of samples) run on a thread
+def _ordered_results(fn, n: int, workers: int):
+    """Run fn(i) for i = 0..n-1, one call per block of samples, yielding
+    results in block order.  With workers > 1 the calls run on a thread
     pool; the ordered yield keeps the reduction deterministic."""
     if workers <= 1:
-        for j in range(M):
-            yield fn(j)
+        for i in range(n):
+            yield fn(i)
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
         pending = deque()
         nxt = 0
         window = 4 * workers
-        while pending or nxt < M:
-            while nxt < M and len(pending) < window:
+        while pending or nxt < n:
+            while nxt < n and len(pending) < window:
                 pending.append(ex.submit(fn, nxt))
                 nxt += 1
             yield pending.popleft().result()
-
-
-def _field_stats(samples_stats: list[tuple[float, float]]) -> dict:
-    sups = [s for s, _ in samples_stats]
-    mus = [m for _, m in samples_stats]
-    return {
-        "sup_norm_max": max(sups) if sups else 0.0,
-        "mu_hat_max": max(mus) if mus else 0.0,
-    }
 
 
 def diagnostics(config: RunConfig, mu: float | None = None) -> dict:
@@ -175,57 +167,102 @@ def diagnostics(config: RunConfig, mu: float | None = None) -> dict:
             "mu": mu, "warnings": warns}
 
 
-def run_standard(config: RunConfig) -> MCResult:
-    """Per-sample assembly and factorization; the reference estimator."""
-    config.validate()
-    t_start = time.perf_counter()
-    mesh = build_uniform_mesh(config.L)
-    draws = _FieldDraws(mesh, config)
-    n_dof = 12 * mesh.n_cells
-    count0 = linalg.factorization_count()
+def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
+                 block_size: int, n_modes: int, solve_block) -> MCResult:
+    """The sampling loop both estimators share.
 
-    def one_sample(j: int):
-        eta, xi = draws.draw(j)
-        alpha = 1.0 + config.epsilon * eta.values
-        A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
-                              config.gamma1, alpha)
-        fact = linalg.factorize(A)
-        b = assemble_oscillatory_load(mesh, xi.values, config.k, config.q_f)
-        x = linalg.solve(fact, b)
-        if not np.isfinite(x).all():
-            raise FloatingPointError(f"non-finite solution of sample {j}")
-        return x, (eta.sup_norm, eta.mu_hat)
-
-    acc = np.zeros(n_dof, dtype=np.complex128)
-    stats = []
+    Cuts the samples 0..M-1 into consecutive blocks of block_size, draws
+    each block's fields into (n_cells, B) arrays and calls
+    solve_block(etas, xis), which returns the block's (n_modes, n_dof)
+    per-mode sums and the seconds spent per mode.  The sums are reduced in
+    block order; psi is their eps^n-weighted mean.  The caller sets the
+    factorization count and the matrix hash."""
     t_samples = time.perf_counter()
-    for x, st in _ordered_results(one_sample, config.M, config.workers):
-        acc += x
-        stats.append(st)
-    psi = DGField(mesh, acc / config.M)
+    mesh = draws.mesh
+    # the cut into blocks depends on M alone, never on the worker count
+    blocks = [range(j, min(j + block_size, config.M))
+              for j in range(0, config.M, block_size)]
+
+    def one_block(i: int):
+        block = blocks[i]
+        etas = np.empty((mesh.n_cells, len(block)))
+        xis = np.empty((mesh.n_cells, len(block)))
+        stats = []
+        for col, j in enumerate(block):
+            eta, xi = draws.draw(j)
+            etas[:, col] = eta.values
+            xis[:, col] = xi.values
+            stats.append((eta.sup_norm, eta.mu_hat))
+        return block, stats, *solve_block(etas, xis)
+
+    mode_acc = np.zeros((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
+    per_mode_s = np.zeros(n_modes)
+    stats = []
+    for block, st, mode_sums, mode_times in _ordered_results(
+        one_block, len(blocks), config.workers
+    ):
+        finite = np.isfinite(mode_sums).all(axis=1)
+        if not finite.all():
+            a, n = block.start, int(np.argmin(finite))
+            raise FloatingPointError(
+                f"non-finite mode {n} in the block of samples "
+                f"{a}..{block.stop - 1} (block starts at sample {a})"
+            )
+        mode_acc += mode_sums
+        per_mode_s += mode_times
+        stats.extend(st)
     t_end = time.perf_counter()
 
-    fstats = _field_stats(stats)
+    eps_pow = config.epsilon ** np.arange(n_modes)
+    fstats = {"sup_norm_max": max(s for s, _ in stats),
+              "mu_hat_max": max(m for _, m in stats)}
     diag = diagnostics(config, mu=config.mu_user
                        if config.mu_user is not None else fstats["mu_hat_max"])
     for w in diag["warnings"]:
-        _warnings.warn(w, stacklevel=2)
-    # hash of the deterministic part for the manifest
-    a_h = assemble_a_h(mesh, config.k, config.lam, config.gamma0, config.gamma1)
+        _warnings.warn(w, stacklevel=3)
     return MCResult(
-        psi=psi,
-        mode_means=None,
+        psi=DGField(mesh, eps_pow @ mode_acc / config.M),
+        mode_means=[DGField(mesh, mode_acc[n] / config.M)
+                    for n in range(n_modes)],
         timings={
             "total_s": t_end - t_start,
             "samples_s": t_end - t_samples,
             "setup_s": t_samples - t_start,
+            "per_mode_s": per_mode_s.tolist(),
         },
         diagnostics=diag,
         field_stats=fstats,
-        factorizations=linalg.factorization_count() - count0,
-        matrix_hash=a_h.content_hash(),
+        factorizations=0,
+        matrix_hash="",
         config=config,
     )
+
+
+def run_standard(config: RunConfig) -> MCResult:
+    """Per-sample assembly and factorization; the reference estimator.
+    Blocks hold one sample each, so workers > 1 stay busy at small M."""
+    config.validate()
+    t_start = time.perf_counter()
+    mesh = build_uniform_mesh(config.L)
+    draws = _FieldDraws(mesh, config)
+
+    def solve_block(etas, xis):
+        t0 = time.perf_counter()
+        alpha = 1.0 + config.epsilon * etas[:, 0]
+        A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
+                              config.gamma1, alpha)
+        fact = linalg.factorize(A)
+        b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
+        x = linalg.solve(fact, b)
+        return x[None], [time.perf_counter() - t0]
+
+    res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
+    res.mode_means = None
+    res.factorizations = config.M
+    # hash of the deterministic part for the manifest
+    res.matrix_hash = assemble_a_h(mesh, config.k, config.lam, config.gamma0,
+                                   config.gamma1).content_hash()
+    return res
 
 
 def run_multimodes(config: RunConfig) -> MCResult:
@@ -236,9 +273,7 @@ def run_multimodes(config: RunConfig) -> MCResult:
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
     draws = _FieldDraws(mesh, config)
-    n_dof = 12 * mesh.n_cells
     n_modes = config.N + 1
-    count0 = linalg.factorization_count()
 
     t0 = time.perf_counter()
     A = assemble_a_h(mesh, config.k, config.lam, config.gamma0, config.gamma1)
@@ -247,23 +282,10 @@ def run_multimodes(config: RunConfig) -> MCResult:
     fact = linalg.factorize(A)
     t_factor = time.perf_counter() - t0
 
-    # the cut into blocks depends on M alone, never on the worker count
-    blocks = [range(j, min(j + SAMPLE_BLOCK, config.M))
-              for j in range(0, config.M, SAMPLE_BLOCK)]
-
-    def one_block(i: int):
+    def solve_block(etas, xis):
         """Per-mode sums over the block's samples of the modes E_n."""
-        block = blocks[i]
-        etas = np.empty((mesh.n_cells, len(block)))
-        xis = np.empty((mesh.n_cells, len(block)))
-        stats = []
-        for col, j in enumerate(block):
-            eta, xi = draws.draw(j)
-            etas[:, col] = eta.values
-            xis[:, col] = xi.values
-            stats.append((eta.sup_norm, eta.mu_hat))
         b0 = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
-        mode_sums = np.empty((n_modes, n_dof), dtype=np.complex128)
+        mode_sums = np.empty((n_modes, fact.n), dtype=np.complex128)
         mode_times = np.zeros(n_modes)
         e_prev = e_prev2 = np.zeros_like(b0)
         for n in range(n_modes):
@@ -274,56 +296,16 @@ def run_multimodes(config: RunConfig) -> MCResult:
                 b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
             x = linalg.solve(fact, b)
             mode_sums[n] = x.sum(axis=1)
-            if not np.isfinite(mode_sums[n]).all():
-                raise FloatingPointError(
-                    f"non-finite mode {n} in the block of samples "
-                    f"{block.start}..{block.stop - 1}"
-                )
             e_prev2, e_prev = e_prev, x
             mode_times[n] = time.perf_counter() - tn
-        return mode_sums, mode_times, stats
+        return mode_sums, mode_times
 
-    mode_acc = np.zeros((n_modes, n_dof), dtype=np.complex128)
-    per_mode_s = np.zeros(n_modes)
-    stats = []
-    t_samples = time.perf_counter()
-    for mode_sums, mode_times, st in _ordered_results(
-        one_block, len(blocks), config.workers
-    ):
-        mode_acc += mode_sums
-        per_mode_s += mode_times
-        stats.extend(st)
-    t_end = time.perf_counter()
-
-    eps_pow = config.epsilon ** np.arange(n_modes)
-    psi = DGField(mesh, eps_pow @ mode_acc / config.M)
-    mode_means = [DGField(mesh, mode_acc[n] / config.M) for n in range(n_modes)]
-    n_facts = linalg.factorization_count() - count0
-    if n_facts != 1:
-        raise RuntimeError(f"expected exactly one factorization, saw {n_facts}")
-
-    fstats = _field_stats(stats)
-    diag = diagnostics(config, mu=config.mu_user
-                       if config.mu_user is not None else fstats["mu_hat_max"])
-    for w in diag["warnings"]:
-        _warnings.warn(w, stacklevel=2)
-    return MCResult(
-        psi=psi,
-        mode_means=mode_means,
-        timings={
-            "total_s": t_end - t_start,
-            "assembly_s": t_assembly,
-            "factorization_s": t_factor,
-            "samples_s": t_end - t_samples,
-            "setup_s": t_samples - t_start,
-            "per_mode_s": per_mode_s.tolist(),
-        },
-        diagnostics=diag,
-        field_stats=fstats,
-        factorizations=n_facts,
-        matrix_hash=A.content_hash(),
-        config=config,
-    )
+    res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, n_modes,
+                       solve_block)
+    res.timings.update(assembly_s=t_assembly, factorization_s=t_factor)
+    res.factorizations = 1
+    res.matrix_hash = A.content_hash()
+    return res
 
 
 def truncate_modes(result: MCResult, N: int) -> DGField:

@@ -2,10 +2,7 @@
 
 Backed by SuperLU via scipy with partial pivoting; the factorization object
 is immutable after construction and every solve is a pair of triangular
-substitutions, for one right-hand side or a block of them at once.  A
-module-level counter records how many factorizations have been performed,
-which lets the driver check that the accelerated algorithm factors exactly
-once.
+substitutions, for one right-hand side or a block of them at once.
 
 Columns are ordered by minimum degree on the structure of A + A^T
 (SuperLU's MMD_AT_PLUS_A).  The IP-DG matrix A = S - iP is structurally
@@ -18,14 +15,11 @@ L=8, and every triangular solve reads correspondingly fewer entries.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-_factorization_count = 0
 
 
 class SingularMatrixError(RuntimeError):
@@ -41,33 +35,21 @@ class Factorization:
     lu: "spla.SuperLU"
     n: int
     nnz: int
-    factor_seconds: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return solve(self, b)
-
-
-def factorization_count() -> int:
-    return _factorization_count
 
 
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix (or a SystemMatrix wrapper)."""
-    global _factorization_count
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
-    t0 = time.perf_counter()
     try:
         lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
-    dt = time.perf_counter() - t0
-    _factorization_count += 1
-    return Factorization(lu=lu, n=mat.shape[0], nnz=mat.nnz, factor_seconds=dt)
+    return Factorization(lu=lu, n=mat.shape[0], nnz=mat.nnz)
 
 
 def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:

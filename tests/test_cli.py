@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mmdg.cli import ERRORS_HEADER, main
@@ -83,6 +84,19 @@ def test_golden_csv_headers(tmp_path):
 def test_invalid_config_exit_code(tmp_path):
     rc = run_cli(["run", "--L", 0, "--out", tmp_path / "x"])
     assert rc == 2
+
+
+def test_non_finite_solution_exit_code(tmp_path, monkeypatch):
+    from mmdg import driver
+
+    def nan_load(mesh, xi, k, q_f=4):
+        return np.full((12 * mesh.n_cells, *np.shape(xi)[1:]), np.nan,
+                       dtype=complex)
+
+    monkeypatch.setattr(driver, "assemble_oscillatory_load", nan_load)
+    rc = run_cli(["run", "--L", 2, "--samples", 2, "--modes", 1,
+                  "--out", tmp_path / "x"])
+    assert rc == 3
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -266,15 +266,6 @@ def test_block_partition_matches_sample_by_sample(M):
         assert np.array_equal(r.psi.coeffs, r3.psi.coeffs)
 
 
-def test_multimodes_raises_on_extra_factorization(monkeypatch):
-    from mmdg import linalg
-
-    counts = iter([0, 2])
-    monkeypatch.setattr(linalg, "factorization_count", lambda: next(counts))
-    with pytest.raises(RuntimeError, match="exactly one factorization"):
-        run_multimodes(dataclasses.replace(SMALL, M=1, N=1))
-
-
 @pytest.mark.parametrize("run, where", [
     (run_multimodes, "mode 0 in the block of samples 0..1"),
     (run_standard, "sample 0"),
@@ -289,3 +280,44 @@ def test_non_finite_load_raises(run, where, monkeypatch):
     monkeypatch.setattr(driver, "assemble_oscillatory_load", nan_load)
     with pytest.raises(FloatingPointError, match=f"non-finite .*{where}"):
         run(dataclasses.replace(SMALL, M=2, N=1))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_factorization_counts_seen_from_outside(workers, monkeypatch):
+    from mmdg import linalg
+
+    calls = []
+    factorize = linalg.factorize
+
+    def counting_factorize(A):
+        calls.append(1)
+        return factorize(A)
+
+    monkeypatch.setattr(linalg, "factorize", counting_factorize)
+    cfg = dataclasses.replace(SMALL, M=SAMPLE_BLOCK + 2, N=2, workers=workers)
+    res = run_multimodes(cfg)
+    assert len(calls) == 1 and res.factorizations == 1
+    calls.clear()
+    res = run_standard(cfg)
+    assert len(calls) == cfg.M and res.factorizations == cfg.M
+
+
+def test_concurrent_runs_do_not_interfere():
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg = RunConfig(L=4, M=4, N=2, seed=11)
+    serial = run_multimodes(cfg).psi.coeffs
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        results = list(ex.map(lambda _: run_multimodes(cfg), range(8)))
+    for res in results:
+        assert res.factorizations == 1
+        assert np.array_equal(res.psi.coeffs, serial)
+
+
+def test_both_drivers_share_one_timings_schema():
+    cfg = dataclasses.replace(SMALL, M=2, N=1)
+    std = run_standard(cfg).timings
+    mm = run_multimodes(cfg).timings
+    assert set(std) <= set(mm)
+    for key in ("total_s", "setup_s", "samples_s", "per_mode_s"):
+        assert key in std and key in mm

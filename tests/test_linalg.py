@@ -77,15 +77,6 @@ def test_singular_matrix_raises():
         linalg.factorize(A)
 
 
-def test_factorization_counter():
-    mesh = build_uniform_mesh(1)
-    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
-    before = linalg.factorization_count()
-    linalg.factorize(A)
-    linalg.factorize(A)
-    assert linalg.factorization_count() - before == 2
-
-
 def test_residual_bound_across_mesh_sizes():
     rng = np.random.default_rng(2)
     for L in (1, 2, 4):
