@@ -6,12 +6,18 @@ symmetric positive semidefinite (interior penalties J0, J1 and the
 impedance boundary tangential mass scaled by k*lambda).  Because the mesh
 is uniform, every local block depends only on the face orientation, so
 assembly reduces to scattering a handful of precomputed dense blocks.
+
+A is assembled in one pass: the complex blocks (volume, flux - i*penalty
+on interior faces, -i*k*lambda*tangential mass on boundary faces) go into
+one triplet list, which is converted to CSC once; the stored zeros of the
+dense blocks are then dropped.  Only A is stored: S and P are its real
+part and minus its imaginary part.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,33 +38,34 @@ from .mesh import HexMesh
 
 @dataclass
 class SystemMatrix:
-    """Sparse complex IP-DG stiffness matrix with its Hermitian split."""
+    """Sparse complex IP-DG matrix A = S - i P in canonical CSC format
+    (sorted indices, no duplicates, no stored zeros)."""
 
-    matrix: sp.csc_matrix          # A = S - i P
-    s_part: sp.csr_matrix          # real symmetric
-    p_part: sp.csr_matrix          # real symmetric PSD
-    meta: dict = field(default_factory=dict)
+    matrix: sp.csc_matrix
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def content_hash(self) -> str:
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        hsh = hashlib.sha256()
-        hsh.update(coo.row[order].astype(np.int64).tobytes())
-        hsh.update(coo.col[order].astype(np.int64).tobytes())
-        hsh.update(coo.data[order].tobytes())
-        return hsh.hexdigest()
+    @property
+    def s_part(self) -> sp.csc_matrix:
+        """S, the real symmetric part of A."""
+        return self.matrix.real
 
-    def export_coo(self, path) -> None:
-        """Dump the matrix in text triplet format (row col re im)."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"% {self.n} {self.n} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v.real:.17e} {v.imag:.17e}\n")
+    @property
+    def p_part(self) -> sp.csc_matrix:
+        """P, the real symmetric positive semidefinite part: A = S - i P."""
+        return -self.matrix.imag
+
+    def content_hash(self) -> str:
+        """sha256 of the canonical CSC arrays: indptr and indices as int64,
+        then the complex data."""
+        A = self.matrix
+        hsh = hashlib.sha256()
+        hsh.update(A.indptr.astype(np.int64).tobytes())
+        hsh.update(A.indices.astype(np.int64).tobytes())
+        hsh.update(A.data.tobytes())
+        return hsh.hexdigest()
 
 
 def _interior_face_blocks(axis: int, h: float):
@@ -100,21 +107,16 @@ def _boundary_tangential_block(axis: int, side: int, h: float) -> np.ndarray:
     return h * h * np.einsum("q,qic,qjc->ij", quad.face_weights, T, T)
 
 
-def _scatter(rows_out, cols_out, data_out, dofs_i, dofs_j, blocks):
-    """Append COO triplets for dense blocks at the given dof index arrays.
+def _triplets(dofs: np.ndarray, blocks: np.ndarray):
+    """COO (rows, cols, data) of dense blocks on the given dof index arrays.
 
-    dofs_i/dofs_j: (nf, nd); blocks: (nd, nd) shared or (nf, nd, nd).
+    dofs: (nf, nd); blocks: (nd, nd) shared or (nf, nd, nd).
     """
-    nf, nd = dofs_i.shape
-    rows = np.repeat(dofs_i, nd, axis=1).ravel()
-    cols = np.tile(dofs_j, (1, nd)).ravel()
-    if blocks.ndim == 2:
-        data = np.tile(blocks.ravel(), nf)
-    else:
-        data = blocks.reshape(nf, -1).ravel()
-    rows_out.append(rows)
-    cols_out.append(cols)
-    data_out.append(data)
+    nf, nd = dofs.shape
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
+    data = np.broadcast_to(blocks, (nf, nd, nd)).ravel()
+    return rows, cols, data
 
 
 def _cell_dofs(cells: np.ndarray) -> np.ndarray:
@@ -122,13 +124,19 @@ def _cell_dofs(cells: np.ndarray) -> np.ndarray:
 
 
 def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
-              gamma1: float, alpha_sq: np.ndarray | None) -> SystemMatrix:
+              gamma1: float, alpha_sq: np.ndarray) -> SystemMatrix:
     if k <= 0:
         raise ValueError("wave number k must be positive")
     if lam <= 0:
         raise ValueError("impedance lambda must be positive")
     if gamma0 < 0 or gamma1 < 0:
         raise ValueError("penalty parameters must be nonnegative")
+    alpha_sq = np.asarray(alpha_sq, dtype=float)
+    if alpha_sq.shape != (mesh.n_cells,):
+        raise ValueError(
+            f"coefficient sample must have one value per cell "
+            f"({mesh.n_cells}), got shape {alpha_sq.shape}"
+        )
 
     h = mesh.h
     n = 12 * mesh.n_cells
@@ -136,23 +144,9 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
     cv = curl_vectors(h)
     curlcurl = mesh.cell_volume * (cv @ cv.T)
 
-    s_rows, s_cols, s_data = [], [], []
-    p_rows, p_cols, p_data = [], [], []
-
-    # volume terms
-    cells = np.arange(mesh.n_cells)
-    cdofs = _cell_dofs(cells)
-    if alpha_sq is None:
-        vol_blocks = curlcurl - (k * k) * mass
-    else:
-        alpha_sq = np.asarray(alpha_sq, dtype=float)
-        if alpha_sq.shape != (mesh.n_cells,):
-            raise ValueError(
-                f"coefficient sample must have one value per cell "
-                f"({mesh.n_cells}), got shape {alpha_sq.shape}"
-            )
-        vol_blocks = curlcurl[None, :, :] - (k * k) * alpha_sq[:, None, None] * mass[None, :, :]
-    _scatter(s_rows, s_cols, s_data, cdofs, cdofs, vol_blocks)
+    # volume terms: curl-curl - k^2 alpha^2 mass
+    vol_blocks = curlcurl[None, :, :] - (k * k) * alpha_sq[:, None, None] * mass[None, :, :]
+    parts = [_triplets(_cell_dofs(np.arange(mesh.n_cells)), vol_blocks)]
 
     # interior faces: consistency flux into S, penalties into P
     for axis in range(3):
@@ -165,8 +159,7 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
             [_cell_dofs(mesh.iface_owner[sel]), _cell_dofs(mesh.iface_neighbor[sel])],
             axis=1,
         )
-        _scatter(s_rows, s_cols, s_data, dofs, dofs, flux)
-        _scatter(p_rows, p_cols, p_data, dofs, dofs, pen)
+        parts.append(_triplets(dofs, flux - 1j * pen))
 
     # impedance boundary tangential mass into P
     for axis in range(3):
@@ -175,26 +168,18 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
             if not np.any(sel):
                 continue
             blk = k * lam * _boundary_tangential_block(axis, side, h)
-            dofs = _cell_dofs(mesh.bface_cell[sel])
-            _scatter(p_rows, p_cols, p_data, dofs, dofs, blk)
+            parts.append(_triplets(_cell_dofs(mesh.bface_cell[sel]), -1j * blk))
 
-    S = sp.coo_matrix(
-        (np.concatenate(s_data), (np.concatenate(s_rows), np.concatenate(s_cols))),
-        shape=(n, n),
-    ).tocsr()
-    P = sp.coo_matrix(
-        (np.concatenate(p_data), (np.concatenate(p_rows), np.concatenate(p_cols))),
-        shape=(n, n),
-    ).tocsr()
-    A = (S - 1j * P).tocsc()
-    meta = {"k": k, "lambda": lam, "gamma0": gamma0, "gamma1": gamma1, "L": mesh.L}
-    return SystemMatrix(matrix=A, s_part=S, p_part=P, meta=meta)
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    A.eliminate_zeros()
+    return SystemMatrix(A)
 
 
 def assemble_a_h(mesh: HexMesh, k: float, lam: float, gamma0: float,
                  gamma1: float) -> SystemMatrix:
     """Sample-independent IP-DG matrix (background coefficient 1)."""
-    return _assemble(mesh, k, lam, gamma0, gamma1, None)
+    return _assemble(mesh, k, lam, gamma0, gamma1, np.ones(mesh.n_cells))
 
 
 def assemble_standard(mesh: HexMesh, k: float, lam: float, gamma0: float,

@@ -29,7 +29,7 @@ from .assembly import (
     assemble_oscillatory_load,
     assemble_standard,
 )
-from .dg_core import DGField, dg_norm, l2_norm, make_quadrature, monomial_values
+from .dg_core import DGField, dg_norm, l2_norm
 from .mesh import HexMesh, build_uniform_mesh
 from .random_field import CovarianceSpec, FieldSample, GaussianSampler, sample_uniform
 
@@ -174,9 +174,10 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     Cuts the samples 0..M-1 into consecutive blocks of block_size, draws
     each block's fields into (n_cells, B) arrays and calls
     solve_block(etas, xis), which returns the block's (n_modes, n_dof)
-    per-mode sums and the seconds spent per mode.  The sums are reduced in
-    block order; psi is their eps^n-weighted mean.  The caller sets the
-    factorization count and the matrix hash."""
+    per-mode sums and the seconds spent per mode.  The block's field draws
+    are charged to mode 0.  The sums are reduced in block order; psi is
+    their eps^n-weighted mean.  The caller sets the factorization count and
+    the matrix hash."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -184,6 +185,7 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
               for j in range(0, config.M, block_size)]
 
     def one_block(i: int):
+        t0 = time.perf_counter()
         block = blocks[i]
         etas = np.empty((mesh.n_cells, len(block)))
         xis = np.empty((mesh.n_cells, len(block)))
@@ -193,7 +195,10 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             etas[:, col] = eta.values
             xis[:, col] = xi.values
             stats.append((eta.sup_norm, eta.mu_hat))
-        return block, stats, *solve_block(etas, xis)
+        t_draws = time.perf_counter() - t0
+        mode_sums, mode_times = solve_block(etas, xis)
+        mode_times[0] += t_draws
+        return block, stats, mode_sums, mode_times
 
     mode_acc = np.zeros((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
     per_mode_s = np.zeros(n_modes)
@@ -283,21 +288,22 @@ def run_multimodes(config: RunConfig) -> MCResult:
     t_factor = time.perf_counter() - t0
 
     def solve_block(etas, xis):
-        """Per-mode sums over the block's samples of the modes E_n."""
-        b0 = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
+        """Per-mode sums over the block's samples of the modes E_n; the
+        mode-0 load is charged to mode 0."""
+        t0 = time.perf_counter()
+        b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
         mode_sums = np.empty((n_modes, fact.n), dtype=np.complex128)
         mode_times = np.zeros(n_modes)
-        e_prev = e_prev2 = np.zeros_like(b0)
+        e_prev = e_prev2 = np.zeros_like(b)
         for n in range(n_modes):
-            tn = time.perf_counter()
-            if n == 0:
-                b = b0
-            else:
+            if n > 0:
                 b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
             x = linalg.solve(fact, b)
             mode_sums[n] = x.sum(axis=1)
             e_prev2, e_prev = e_prev, x
-            mode_times[n] = time.perf_counter() - tn
+            t1 = time.perf_counter()
+            mode_times[n] = t1 - t0
+            t0 = t1
         return mode_sums, mode_times
 
     res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, n_modes,
@@ -359,30 +365,3 @@ def component_integral(psi: DGField, component: int = 0) -> complex:
     c = psi.cellwise().reshape(-1, 3, 4)[:, component, :]
     moments = np.array([1.0, 0.5, 0.5, 0.5])
     return complex(psi.mesh.cell_volume * np.sum(c @ moments))
-
-
-def estimate_source_moments(config: RunConfig) -> dict:
-    """Monte Carlo estimate of the source moments E||f||^2 and
-    E||div f||^2 for the oscillatory source family.  With xi constant per
-    cell, div f = i k (1+xi) * sum_c exp(i k (1+xi) x_c) on each cell."""
-    config.validate()
-    mesh = build_uniform_mesh(config.L)
-    draws = _FieldDraws(mesh, config)
-    quad = make_quadrature(config.q_f)
-    lowers = mesh.cell_lower(np.arange(mesh.n_cells))
-    pts = lowers[:, None, :] + mesh.h * quad.cell_points[None, :, :]  # (nc,nq,3)
-
-    f_sq = 0.0
-    div_sq = 0.0
-    for j in range(config.M):
-        _, xi = draws.draw(j)
-        kk = config.k * (1.0 + xi.values)[:, None, None]
-        f = np.exp(1j * kk * pts)                              # (nc,nq,3)
-        f_sq += mesh.cell_volume * float(
-            np.einsum("q,nqc->", quad.cell_weights, (f.conj() * f).real)
-        )
-        div = 1j * kk[:, :, 0] * f.sum(axis=2)                 # (nc,nq)
-        div_sq += mesh.cell_volume * float(
-            np.einsum("q,nq->", quad.cell_weights, (div.conj() * div).real)
-        )
-    return {"E_f_sq": f_sq / config.M, "E_div_f_sq": div_sq / config.M}

@@ -9,7 +9,6 @@ owner.  This orientation fixes the sign of all DG jump terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,18 +58,6 @@ class HexMesh:
 
     def cell_index(self, i: int, j: int, k: int) -> int:
         return (i * self.L + j) * self.L + k
-
-    def summary(self) -> dict:
-        return {
-            "L": self.L,
-            "h": self.h,
-            "n_cells": self.n_cells,
-            "n_interior_faces": self.n_interior_faces,
-            "n_boundary_faces": self.n_boundary_faces,
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
 
 
 def build_uniform_mesh(L: int) -> HexMesh:

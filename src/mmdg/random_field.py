@@ -102,11 +102,6 @@ class GaussianSampler:
         return _make_sample(self.mesh, values, "gaussian", meta)
 
 
-def sample_gaussian(mesh: HexMesh, spec: CovarianceSpec,
-                    rng: np.random.Generator, clamp: bool = False) -> FieldSample:
-    return GaussianSampler(mesh, spec).sample(rng, clamp=clamp)
-
-
 def sample_uniform(mesh: HexMesh, rng: np.random.Generator) -> FieldSample:
     values = rng.uniform(-1.0, 1.0, mesh.n_cells)
     return _make_sample(mesh, values, "uniform")

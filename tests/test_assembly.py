@@ -202,6 +202,20 @@ def test_alpha_one_equals_deterministic_assembly():
     assert np.abs((A0.matrix - A1.matrix)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("L, nnz", [(4, 19_008), (6, 68_256)])
+def test_assembled_structure(L, nnz):
+    # stored zeros would inflate the structural fill of the LU factors
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    mat = A.matrix
+    assert mat.format == "csc" and mat.has_canonical_format
+    assert mat.nnz == nnz and np.count_nonzero(mat.data) == nnz
+    assert ((A.s_part - 1j * A.p_part) != mat).nnz == 0
+    B = assemble_standard(mesh, 2.0, 1.0, 10.0, 0.1, np.ones(mesh.n_cells))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(B.matrix, attr), getattr(mat, attr))
+
+
 def test_alpha_two_scales_mass_only():
     mesh = build_uniform_mesh(2)
     k = 2.0
@@ -402,13 +416,3 @@ def test_oscillatory_load_bad_shapes_rejected():
         assemble_oscillatory_load(mesh, np.zeros(mesh.n_cells + 1), 2.0)
     with pytest.raises(ValueError):
         assemble_oscillatory_load(mesh, np.zeros((mesh.n_cells, 2, 2)), 2.0)
-
-
-def test_export_coo(tmp_path):
-    mesh = build_uniform_mesh(1)
-    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
-    path = tmp_path / "matrix.txt"
-    A.export_coo(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("% 12 12")
-    assert len(lines) == 1 + A.matrix.nnz

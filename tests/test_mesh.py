@@ -108,10 +108,3 @@ def test_lexicographic_labels():
     # center of cell (1,2,3)
     assert np.allclose(m.cell_centers[m.cell_index(1, 2, 3)],
                        [(1 + 0.5) / 4, (2 + 0.5) / 4, (3 + 0.5) / 4])
-
-
-def test_summary_json():
-    import json
-    m = build_uniform_mesh(2)
-    d = json.loads(m.summary_json())
-    assert d["n_cells"] == 8 and d["h"] == 0.5

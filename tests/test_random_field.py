@@ -8,7 +8,6 @@ from mmdg.random_field import (
     compute_kl,
     covariance_matrix,
     sample_from_kl,
-    sample_gaussian,
     sample_uniform,
 )
 
@@ -33,7 +32,7 @@ def test_perfect_correlation_limit():
     # huge correlation length: the covariance is near rank one and all
     # cells get (almost) the same value
     mesh = build_uniform_mesh(2)
-    s = sample_gaussian(mesh, CovarianceSpec(1e9), np.random.default_rng(0))
+    s = GaussianSampler(mesh, CovarianceSpec(1e9)).sample(np.random.default_rng(0))
     assert np.ptp(s.values) <= 1e-3 * max(1.0, abs(s.values[0]))
 
 
@@ -55,8 +54,8 @@ def test_empirical_covariance_matches_exponential():
 def test_gaussian_determinism():
     mesh = build_uniform_mesh(2)
     spec = CovarianceSpec(0.5)
-    s1 = sample_gaussian(mesh, spec, np.random.default_rng(7))
-    s2 = sample_gaussian(mesh, spec, np.random.default_rng(7))
+    s1 = GaussianSampler(mesh, spec).sample(np.random.default_rng(7))
+    s2 = GaussianSampler(mesh, spec).sample(np.random.default_rng(7))
     assert np.array_equal(s1.values, s2.values)
 
 
