@@ -180,13 +180,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_manifest(outdir, cfg, {
         "algorithms": sorted(results),
         "matrix_hash": any_res.matrix_hash,
-        "diagnostics": {k: v for k, v in any_res.diagnostics.items()},
+        "diagnostics": any_res.diagnostics,
     })
     for name, res in results.items():
         print(f"{name}: factorizations={res.factorizations} "
               f"total={res.timings['total_s']:.3f}s")
-    for w in any_res.diagnostics["warnings"]:
-        print(f"warning: {w}", file=sys.stderr)
     return 0
 
 

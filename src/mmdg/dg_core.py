@@ -176,13 +176,6 @@ def average(field: DGField, iface: int, point) -> np.ndarray:
     )
 
 
-def tangential(vec: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Tangential projection (nu x v) x nu; removes the normal component."""
-    vec = np.asarray(vec)
-    normal = np.asarray(normal, dtype=float)
-    return vec - np.tensordot(vec, normal, axes=([-1], [0]))[..., None] * normal
-
-
 def _face_trace_matrix(h: float, axis: int, side: float, drop_axis: bool,
                        quad: QuadratureRule) -> np.ndarray:
     """Trace values of the 12 local basis functions at face quadrature

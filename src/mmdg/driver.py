@@ -13,12 +13,11 @@ the block sums are added in block order.
 
 from __future__ import annotations
 
-import math
 import time
-import warnings as _warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +56,7 @@ class RunConfig:
     clamp: bool = False
     q_f: int = 4                   # load quadrature order per axis
     seed: int = 0
-    C0_user: float = 1.0           # analysis constants for diagnostics only
-    Chat0_user: float = 1.0
-    mu_user: float | None = None
+    mu_user: float | None = None   # mu for diagnostics; None = measured
     workers: int = 1
 
     def validate(self) -> None:
@@ -93,8 +90,15 @@ class MCResult:
     diagnostics: dict
     field_stats: dict
     factorizations: int
-    matrix_hash: str
     config: RunConfig
+
+    @cached_property
+    def matrix_hash(self) -> str:
+        """Content hash of this run's deterministic matrix A_h, for the
+        manifest; A_h is assembled on the first read."""
+        cfg = self.config
+        return assemble_a_h(self.psi.mesh, cfg.k, cfg.lam, cfg.gamma0,
+                            cfg.gamma1).content_hash()
 
 
 def sample_stream(seed: int, j: int, purpose: int) -> np.random.Generator:
@@ -147,24 +151,18 @@ def _ordered_results(fn, n: int, workers: int):
 
 
 def diagnostics(config: RunConfig, mu: float | None = None) -> dict:
-    """Convergence-theory products; values >= 1 only warn, runs proceed."""
+    """Convergence-theory products sigma, sigma_hat, sigma_tilde, with the
+    unknown analysis constants C0 and Chat0 set to 1.  Informational only:
+    theory guarantees geometric convergence of the mode series when they
+    are below 1, but a run proceeds whatever their values."""
     if mu is None:
         mu = config.mu_user if config.mu_user is not None else 1.0
     eps, k = config.epsilon, config.k
-    c0, chat0 = config.C0_user, config.Chat0_user
-    sigma = 7.0 * eps * math.sqrt(c0) * (1.0 + k) * (1.0 + mu)
-    sigma_hat = 14.0 * chat0 * math.sqrt(c0) * (1.0 + k) * (1.0 + mu) * eps
-    sigma_tilde = 4.0 * chat0 * (1.0 + k) * eps
-    warns = []
-    for name, val in (("sigma", sigma), ("sigma_hat", sigma_hat),
-                      ("sigma_tilde", sigma_tilde)):
-        if val >= 1.0:
-            warns.append(
-                f"{name} = {val:.3g} >= 1: geometric convergence of the mode "
-                f"series is not guaranteed by theory"
-            )
+    sigma = 7.0 * eps * (1.0 + k) * (1.0 + mu)
+    sigma_hat = 14.0 * (1.0 + k) * (1.0 + mu) * eps
+    sigma_tilde = 4.0 * (1.0 + k) * eps
     return {"sigma": sigma, "sigma_hat": sigma_hat, "sigma_tilde": sigma_tilde,
-            "mu": mu, "warnings": warns}
+            "mu": mu}
 
 
 def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
@@ -176,8 +174,7 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     solve_block(etas, xis), which returns the block's (n_modes, n_dof)
     per-mode sums and the seconds spent per mode.  The block's field draws
     are charged to mode 0.  The sums are reduced in block order; psi is
-    their eps^n-weighted mean.  The caller sets the factorization count and
-    the matrix hash."""
+    their eps^n-weighted mean.  The caller sets the factorization count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -223,8 +220,6 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
               "mu_hat_max": max(m for _, m in stats)}
     diag = diagnostics(config, mu=config.mu_user
                        if config.mu_user is not None else fstats["mu_hat_max"])
-    for w in diag["warnings"]:
-        _warnings.warn(w, stacklevel=3)
     return MCResult(
         psi=DGField(mesh, eps_pow @ mode_acc / config.M),
         mode_means=[DGField(mesh, mode_acc[n] / config.M)
@@ -238,7 +233,6 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
         diagnostics=diag,
         field_stats=fstats,
         factorizations=0,
-        matrix_hash="",
         config=config,
     )
 
@@ -264,9 +258,6 @@ def run_standard(config: RunConfig) -> MCResult:
     res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
     res.mode_means = None
     res.factorizations = config.M
-    # hash of the deterministic part for the manifest
-    res.matrix_hash = assemble_a_h(mesh, config.k, config.lam, config.gamma0,
-                                   config.gamma1).content_hash()
     return res
 
 
@@ -310,7 +301,6 @@ def run_multimodes(config: RunConfig) -> MCResult:
                        solve_block)
     res.timings.update(assembly_s=t_assembly, factorization_s=t_factor)
     res.factorizations = 1
-    res.matrix_hash = A.content_hash()
     return res
 
 

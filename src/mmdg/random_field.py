@@ -24,13 +24,10 @@ class CovarianceSpec:
     """Exponential covariance C(x1, x2) = exp(-||x1 - x2|| / ell)."""
 
     ell: float
-    kind: str = "exponential"
 
     def __post_init__(self):
         if self.ell <= 0:
             raise ValueError("correlation length must be positive")
-        if self.kind != "exponential":
-            raise ValueError(f"unsupported covariance kind {self.kind!r}")
 
 
 @dataclass
@@ -38,7 +35,7 @@ class FieldSample:
     """One realization of a per-cell constant random field."""
 
     values: np.ndarray
-    kind: str                       # gaussian | uniform | kl | constant
+    kind: str                       # gaussian | uniform | kl
     sup_norm: float
     mu_hat: float                   # adjacent-cell difference quotient
     metadata: dict = field(default_factory=dict)

@@ -7,8 +7,6 @@ import pytest
 
 from mmdg.cli import ERRORS_HEADER, main
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -97,6 +95,32 @@ def test_non_finite_solution_exit_code(tmp_path, monkeypatch):
     rc = run_cli(["run", "--L", 2, "--samples", 2, "--modes", 1,
                   "--out", tmp_path / "x"])
     assert rc == 3
+
+
+def test_singular_matrix_exit_code(tmp_path, monkeypatch, capsys):
+    from mmdg import linalg
+
+    def singular(A):
+        raise linalg.SingularMatrixError("matrix is numerically singular")
+
+    monkeypatch.setattr(linalg, "factorize", singular)
+    for algorithm in ("multimodes", "standard"):
+        rc = run_cli(["run", "--algorithm", algorithm, "--L", 2,
+                      "--samples", 2, "--modes", 1,
+                      "--out", tmp_path / algorithm])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["C0_user = 1.0", "Chat0_user = 1.0",
+                                  "kind = exponential"],
+                         ids=["C0_user", "Chat0_user", "kind"])
+def test_config_file_unknown_key_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"L = 2\n{line}\n")
+    rc = run_cli(["run", "--config", cfg, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from mmdg.driver import (
     truncate_modes,
 )
 from mmdg.mesh import build_uniform_mesh
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 SMALL = RunConfig(L=2, M=3, N=3, epsilon=0.1, seed=11)
 
@@ -151,23 +150,36 @@ def test_compare_eps_zero_rows_vanish():
 
 
 def test_diagnostics_formulas():
-    cfg = dataclasses.replace(SMALL, epsilon=0.1, k=2.0, C0_user=1.0,
-                              Chat0_user=1.0, mu_user=1.0)
+    cfg = dataclasses.replace(SMALL, epsilon=0.1, k=2.0, mu_user=1.0)
     d = diagnostics(cfg)
     assert d["sigma"] == pytest.approx(7 * 0.1 * 1 * 3 * 2)
     assert d["sigma_hat"] == pytest.approx(14 * 1 * 1 * 3 * 2 * 0.1)
     assert d["sigma_tilde"] == pytest.approx(4 * 1 * 3 * 0.1)
     z = diagnostics(dataclasses.replace(cfg, epsilon=0.0))
     assert z["sigma"] == z["sigma_hat"] == z["sigma_tilde"] == 0.0
-    assert not z["warnings"]
 
 
-def test_large_eps_warns_but_runs():
+def test_large_eps_runs_without_warning():
+    # sigma = 7 * 0.9 * 3 * 2 = 37.8: far above 1, yet only recorded
     cfg = dataclasses.replace(SMALL, epsilon=0.9, M=1, N=1, mu_user=1.0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         r = run_multimodes(cfg)
+    assert not caught
     assert np.all(np.isfinite(r.psi.coeffs))
-    assert r.diagnostics["warnings"]
+    assert r.diagnostics["sigma"] == pytest.approx(37.8)
+
+
+def test_default_runs_emit_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res_mm = run_multimodes(RunConfig())
+        res_std = run_standard(RunConfig(M=2))
+    # the theory products stay informational fields
+    for res in (res_mm, res_std):
+        assert set(res.diagnostics) == {"sigma", "sigma_hat", "sigma_tilde",
+                                        "mu"}
+        assert res.diagnostics["sigma_tilde"] == pytest.approx(1.2)
 
 
 def test_zero_source_gives_zero_mean():
@@ -317,3 +329,25 @@ def test_per_mode_times_cover_the_draws(run, monkeypatch):
     timings = run(cfg).timings
     assert sum(timings["per_mode_s"]) >= cfg.M * pause
     assert sum(timings["per_mode_s"]) <= timings["samples_s"]
+
+
+def test_matrix_hash_assembles_on_first_read(monkeypatch):
+    from mmdg import driver
+
+    calls = []
+    assemble = driver.assemble_a_h
+
+    def counting_assemble(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(driver, "assemble_a_h", counting_assemble)
+    cfg = dataclasses.replace(SMALL, M=2, N=1)
+    res = run_standard(cfg)
+    assert not calls
+    mesh = build_uniform_mesh(cfg.L)
+    expected = assemble(mesh, cfg.k, cfg.lam, cfg.gamma0,
+                        cfg.gamma1).content_hash()
+    assert res.matrix_hash == expected and len(calls) == 1
+    assert res.matrix_hash == expected and len(calls) == 1  # cached
+    assert run_multimodes(cfg).matrix_hash == expected

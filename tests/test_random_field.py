@@ -15,7 +15,7 @@ from mmdg.random_field import (
 def test_covariance_spec_validation():
     with pytest.raises(ValueError):
         CovarianceSpec(ell=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # exponential is the only kind
         CovarianceSpec(ell=0.5, kind="squared-exponential")
 
 
