@@ -7,11 +7,15 @@ impedance boundary tangential mass scaled by k*lambda).  Because the mesh
 is uniform, every local block depends only on the face orientation, so
 assembly reduces to scattering a handful of precomputed dense blocks.
 
-A is assembled in one pass: the complex blocks (volume, flux - i*penalty
-on interior faces, -i*k*lambda*tangential mass on boundary faces) go into
-one triplet list, which is converted to CSC once; the stored zeros of the
-dense blocks are then dropped.  Only A is stored: S and P are its real
-part and minus its imaginary part.
+A is assembled block by block, with no triplet list.  Each cell has one
+12x12 diagonal block (curl-curl - k^2 alpha^2 mass plus the self terms of
+its faces), and each interior face couples its two cells by one
+off-diagonal block each way (flux - i*penalty; the boundary terms
+-i*k*lambda*tangential mass are diagonal).  The blocks are laid out as a
+block sparse matrix of A^T in block-column order of A, so one BSR-to-CSR
+conversion yields A's CSC arrays; the stored zeros of the dense blocks
+are then dropped.  Only A is stored: S and P are its real part and minus
+its imaginary part.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import scipy.sparse as sp
 
 from . import kernels
 from .dg_core import (
-    N_LOCAL,
     DGField,
+    QuadratureRule,
     _face_trace_matrix,
     curl_vectors,
     gauss01,
@@ -68,7 +72,7 @@ class SystemMatrix:
         return hsh.hexdigest()
 
 
-def _interior_face_blocks(axis: int, h: float):
+def _interior_face_blocks(axis: int, h: float, quad: QuadratureRule):
     """Local 24x24 blocks for one interior face orientation.
 
     Dof layout: 0..11 owner, 12..23 neighbor.  The owner sees the face at
@@ -77,7 +81,6 @@ def _interior_face_blocks(axis: int, h: float):
     (flux_block, j0_block_unscaled, j1_block_unscaled) where the penalty
     blocks still need the gamma0/h and gamma1*h factors.
     """
-    quad = make_quadrature(2)
     area = h * h
     nu = np.zeros(3)
     nu[axis] = -1.0
@@ -89,8 +92,7 @@ def _interior_face_blocks(axis: int, h: float):
     int_jt = area * np.einsum("q,qic->ic", quad.face_weights, JT)   # (24,3)
     M_jt = area * np.einsum("q,qic,qjc->ij", quad.face_weights, JT, JT)
 
-    cv = curl_vectors(h)                                   # (12,3)
-    cxn = np.cross(cv, nu)
+    cxn = np.cross(curl_vectors(h), nu)                    # (12,3)
     avg_cxn = 0.5 * np.vstack([cxn, cxn])                  # (24,3)
     jmp_cxn = np.vstack([cxn, -cxn])
 
@@ -100,27 +102,11 @@ def _interior_face_blocks(axis: int, h: float):
     return flux, j0, j1
 
 
-def _boundary_tangential_block(axis: int, side: int, h: float) -> np.ndarray:
+def _boundary_tangential_block(axis: int, side: int, h: float,
+                               quad: QuadratureRule) -> np.ndarray:
     """12x12 tangential trace mass matrix on one boundary face type."""
-    quad = make_quadrature(2)
     T = _face_trace_matrix(h, axis, float(side), True, quad)
     return h * h * np.einsum("q,qic,qjc->ij", quad.face_weights, T, T)
-
-
-def _triplets(dofs: np.ndarray, blocks: np.ndarray):
-    """COO (rows, cols, data) of dense blocks on the given dof index arrays.
-
-    dofs: (nf, nd); blocks: (nd, nd) shared or (nf, nd, nd).
-    """
-    nf, nd = dofs.shape
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    data = np.broadcast_to(blocks, (nf, nd, nd)).ravel()
-    return rows, cols, data
-
-
-def _cell_dofs(cells: np.ndarray) -> np.ndarray:
-    return 12 * cells[:, None] + np.arange(N_LOCAL)[None, :]
 
 
 def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
@@ -132,46 +118,55 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
     if gamma0 < 0 or gamma1 < 0:
         raise ValueError("penalty parameters must be nonnegative")
     alpha_sq = np.asarray(alpha_sq, dtype=float)
-    if alpha_sq.shape != (mesh.n_cells,):
+    nc = mesh.n_cells
+    if alpha_sq.shape != (nc,):
         raise ValueError(
             f"coefficient sample must have one value per cell "
-            f"({mesh.n_cells}), got shape {alpha_sq.shape}"
+            f"({nc}), got shape {alpha_sq.shape}"
         )
 
     h = mesh.h
-    n = 12 * mesh.n_cells
+    quad = make_quadrature(2)
     mass = ref_mass_12() * mesh.cell_volume
     cv = curl_vectors(h)
     curlcurl = mesh.cell_volume * (cv @ cv.T)
 
-    # volume terms: curl-curl - k^2 alpha^2 mass
-    vol_blocks = curlcurl[None, :, :] - (k * k) * alpha_sq[:, None, None] * mass[None, :, :]
-    parts = [_triplets(_cell_dofs(np.arange(mesh.n_cells)), vol_blocks)]
-
-    # interior faces: consistency flux into S, penalties into P
+    # diagonal blocks: curl-curl - k^2 alpha^2 mass, plus the self terms of
+    # every face.  A cell owns at most one face per axis and neighbors at
+    # most one, and has at most one boundary face per (axis, side), so no
+    # fancy-indexed group below repeats a cell.
+    diag = (curlcurl - (k * k) * alpha_sq[:, None, None] * mass).astype(complex)
+    offdiag = []                        # (block rows, block cols, values)
     for axis in range(3):
         sel = mesh.iface_axis == axis
-        if not np.any(sel):
-            continue
-        flux, j0, j1 = _interior_face_blocks(axis, h)
-        pen = (gamma0 / h) * j0 + gamma1 * h * j1
-        dofs = np.concatenate(
-            [_cell_dofs(mesh.iface_owner[sel]), _cell_dofs(mesh.iface_neighbor[sel])],
-            axis=1,
-        )
-        parts.append(_triplets(dofs, flux - 1j * pen))
-
-    # impedance boundary tangential mass into P
+        flux, j0, j1 = _interior_face_blocks(axis, h, quad)
+        blk = flux - 1j * ((gamma0 / h) * j0 + gamma1 * h * j1)
+        own, nb = mesh.iface_owner[sel], mesh.iface_neighbor[sel]
+        diag[own] += blk[:12, :12]
+        diag[nb] += blk[12:, 12:]
+        offdiag += [(own, nb, blk[:12, 12:]), (nb, own, blk[12:, :12])]
     for axis in range(3):
         for side in (0, 1):
             sel = (mesh.bface_axis == axis) & (mesh.bface_side == side)
-            if not np.any(sel):
-                continue
-            blk = k * lam * _boundary_tangential_block(axis, side, h)
-            parts.append(_triplets(_cell_dofs(mesh.bface_cell[sel]), -1j * blk))
+            blk = _boundary_tangential_block(axis, side, h, quad)
+            diag[mesh.bface_cell[sel]] -= 1j * k * lam * blk
 
-    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
-    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    # A block sparse matrix of A^T, its blocks transposed and sorted by
+    # block column of A, converts to CSR arrays that are A's CSC arrays.
+    cells = np.arange(nc)
+    blocks = [(cells, cells, diag), *offdiag]
+    brow, bcol = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
+    order = np.lexsort((brow, bcol))
+    dest = np.empty_like(order)
+    dest[order] = np.arange(len(order))
+    data = np.empty((len(order), 12, 12), dtype=complex)
+    start = 0
+    for rows, _, vals in blocks:
+        data[dest[start:start + len(rows)]] = np.swapaxes(vals, -1, -2)
+        start += len(rows)
+    indptr = np.searchsorted(bcol[order], np.arange(nc + 1))
+    n = 12 * nc
+    A = sp.bsr_matrix((data, brow[order], indptr), shape=(n, n)).tocsr().T
     A.eliminate_zeros()
     return SystemMatrix(A)
 

@@ -47,18 +47,16 @@ def ref_mass_12() -> np.ndarray:
     return out
 
 
-def curl_vectors(h: float) -> np.ndarray:
-    """Constant curl of each local basis function, shape (12, 3).
+# constant curl of each local basis function on the unit cell, shape (12, 3):
+# basis (c, m) is e_c * monomial_m(local), and curl(phi e_c) = grad(phi) x e_c
+_REF_CURLS = np.cross(MONOMIAL_GRADS[None, :, :], np.eye(3)[:, None, :]).reshape(N_LOCAL, 3)
+_REF_CURLS.setflags(write=False)
 
-    Basis (c, m) is e_c * monomial_m(local); its physical gradient carries
-    a 1/h chain-rule factor, and curl(phi e_c) = grad(phi) x e_c.
-    """
-    out = np.zeros((N_LOCAL, 3))
-    eye = np.eye(3)
-    for c in range(3):
-        for m in range(4):
-            out[4 * c + m] = np.cross(MONOMIAL_GRADS[m] / h, eye[c])
-    return out
+
+def curl_vectors(h: float) -> np.ndarray:
+    """Constant curl of each local basis function on a cell of side h,
+    shape (12, 3); the physical gradient carries a 1/h chain-rule factor."""
+    return _REF_CURLS / h
 
 
 def gauss01(q: int):

@@ -5,12 +5,13 @@ is immutable after construction and every solve is a pair of triangular
 substitutions, for one right-hand side or a block of them at once.
 
 Columns are ordered by minimum degree on the structure of A + A^T
-(SuperLU's MMD_AT_PLUS_A).  The IP-DG matrix A = S - iP is structurally
-symmetric, and complex symmetric to round-off, so a symmetric ordering
-fits it where COLAMD, made for unsymmetric structure, over-fills:
-nnz(L+U) of the deterministic matrix drops from 193 145 to 120 511 at
-L=4, from 1 295 774 to 981 661 at L=6 and from 5 203 172 to 3 727 203 at
-L=8, and every triangular solve reads correspondingly fewer entries.
+(SuperLU's MMD_AT_PLUS_A).  The IP-DG matrix A = S - iP is complex
+symmetric, so a symmetric ordering fits it where COLAMD, made for
+unsymmetric structure, over-fills: nnz(L+U) of the deterministic matrix
+drops from about 193 000 to 120 500 at L=4, from 1 296 000 to 982 000 at
+L=6 and from 5 203 000 to 3 728 000 at L=8 (the exact counts move by
+~0.1% with round-off in A through pivoting), and every triangular solve
+reads correspondingly fewer entries.
 """
 
 from __future__ import annotations

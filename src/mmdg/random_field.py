@@ -68,9 +68,17 @@ def _make_sample(mesh: HexMesh, values: np.ndarray, kind: str,
 
 
 def covariance_matrix(mesh: HexMesh, spec: CovarianceSpec) -> np.ndarray:
+    """exp(-||c_i - c_j|| / ell) over the cell centers c, built in place in
+    one n x n array, without an (n, n, 3) difference temporary."""
     c = mesh.cell_centers
-    dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
-    return np.exp(-dist / spec.ell)
+    out = np.zeros((len(c), len(c)))
+    for x in c.T:
+        d = np.subtract.outer(x, x)
+        out += np.square(d, out=d)
+    np.sqrt(out, out=out)
+    np.negative(out, out=out)
+    out /= spec.ell
+    return np.exp(out, out=out)
 
 
 class GaussianSampler:

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmdg.assembly import (
+    _boundary_tangential_block,
+    _interior_face_blocks,
     assemble_a_h,
     assemble_load,
     assemble_mode_source,
     assemble_oscillatory_load,
     assemble_standard,
 )
-from mmdg.dg_core import DGField, gauss01
+from mmdg.dg_core import DGField, curl_vectors, gauss01, make_quadrature, ref_mass_12
 from mmdg.mesh import build_uniform_mesh
 
 
@@ -242,6 +247,87 @@ def test_invalid_parameters_rejected():
         assemble_a_h(mesh, 2.0, -1.0, 10.0, 0.1)
     with pytest.raises(ValueError):
         assemble_a_h(mesh, 2.0, 1.0, -1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# COO oracle: the earlier assembly path, which scattered every dense local
+# block as (row, col, value) triplets into one list and let one
+# duplicate-summing CSC conversion add them up
+# ---------------------------------------------------------------------------
+
+def coo_oracle(mesh, k, lam, gamma0, gamma1, alpha_sq):
+    h = mesh.h
+    quad = make_quadrature(2)
+    mass = ref_mass_12() * mesh.cell_volume
+    cv = curl_vectors(h)
+    curlcurl = mesh.cell_volume * (cv @ cv.T)
+
+    def cell_dofs(cells):
+        return 12 * cells[:, None] + np.arange(12)[None, :]
+
+    def triplets(dofs, blocks):
+        nf, nd = dofs.shape
+        return (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel(),
+                np.broadcast_to(blocks, (nf, nd, nd)).ravel())
+
+    vol = curlcurl[None] - (k * k) * alpha_sq[:, None, None] * mass[None]
+    parts = [triplets(cell_dofs(np.arange(mesh.n_cells)), vol)]
+    for axis in range(3):
+        sel = mesh.iface_axis == axis
+        flux, j0, j1 = _interior_face_blocks(axis, h, quad)
+        pen = (gamma0 / h) * j0 + gamma1 * h * j1
+        dofs = np.concatenate([cell_dofs(mesh.iface_owner[sel]),
+                               cell_dofs(mesh.iface_neighbor[sel])], axis=1)
+        parts.append(triplets(dofs, flux - 1j * pen))
+    for axis in range(3):
+        for side in (0, 1):
+            sel = (mesh.bface_axis == axis) & (mesh.bface_side == side)
+            blk = k * lam * _boundary_tangential_block(axis, side, h, quad)
+            parts.append(triplets(cell_dofs(mesh.bface_cell[sel]), -1j * blk))
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    n = 12 * mesh.n_cells
+    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_block_assembly_matches_coo_oracle(L):
+    mesh = build_uniform_mesh(L)
+    alpha = 1.0 + 0.3 * np.random.default_rng(L).uniform(-1, 1, mesh.n_cells)
+    for A, alpha_sq in (
+        (assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1), np.ones(mesh.n_cells)),
+        (assemble_standard(mesh, 2.0, 1.0, 10.0, 0.1, alpha), alpha ** 2),
+    ):
+        ref = coo_oracle(mesh, 2.0, 1.0, 10.0, 0.1, alpha_sq)
+        assert np.array_equal(A.matrix.indptr, ref.indptr)
+        assert np.array_equal(A.matrix.indices, ref.indices)
+        assert np.abs(A.matrix.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_assembled_matrix_exactly_symmetric(L):
+    # A is complex symmetric (not Hermitian): every local block is, and the
+    # assembly must add the (i, j) and (j, i) contributions in one order
+    mesh = build_uniform_mesh(L)
+    alpha = 1.0 + 0.3 * np.random.default_rng(L).uniform(-1, 1, mesh.n_cells)
+    for A in (assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1),
+              assemble_standard(mesh, 2.0, 1.0, 10.0, 0.1, alpha)):
+        assert (A.matrix != A.matrix.T).nnz == 0
+
+
+def test_assembly_peak_memory_bounded_by_matrix_size():
+    # the block path keeps no triplet list: its peak stays within a small
+    # multiple of the finished CSC arrays
+    mesh = build_uniform_mesh(6)
+    assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 # ---------------------------------------------------------------------------

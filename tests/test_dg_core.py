@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdg.dg_core import (
+    MONOMIAL_GRADS,
     DGField,
     all_curls,
     average,
     boundary_l2,
+    curl_vectors,
     dg_norm,
     dg_seminorm,
     eval_curl,
@@ -100,6 +102,15 @@ def test_curl_chain_rule_factor():
     f = linear_field(m, lambda x: [0.0, 0.0, x[0]])
     for cell in range(m.n_cells):
         assert np.allclose(eval_curl(f, cell), [0, -1, 0], atol=1e-13)
+
+
+@pytest.mark.parametrize("L", [1, 3, 6, 7])
+def test_curl_vectors_match_per_basis_loop(L):
+    # reference: curl(phi e_c) = grad(phi) x e_c, one basis function at a time
+    h = 1.0 / L
+    ref = np.array([np.cross(MONOMIAL_GRADS[m] / h, np.eye(3)[c])
+                    for c in range(3) for m in range(4)])
+    assert curl_vectors(h).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

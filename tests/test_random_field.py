@@ -28,6 +28,15 @@ def test_covariance_matrix_properties():
     assert w.min() >= -1e-10
 
 
+@pytest.mark.parametrize("L", [2, 5])
+def test_covariance_matrix_bitwise_matches_norm_formula(L):
+    mesh = build_uniform_mesh(L)
+    c = mesh.cell_centers
+    ref = np.exp(-np.linalg.norm(c[:, None] - c[None], axis=-1) / 0.3)
+    C = covariance_matrix(mesh, CovarianceSpec(0.3))
+    assert C.dtype == ref.dtype and C.tobytes() == ref.tobytes()
+
+
 def test_perfect_correlation_limit():
     # huge correlation length: the covariance is near rank one and all
     # cells get (almost) the same value
