@@ -5,7 +5,8 @@ The assembled matrix decomposes as A = S - i*P with S real symmetric
 symmetric positive semidefinite (interior penalties J0, J1 and the
 impedance boundary tangential mass scaled by k*lambda).  Because the mesh
 is uniform, every local block depends only on the face orientation, so
-assembly reduces to scattering a handful of precomputed dense blocks.
+assembly reduces to scattering a handful of dense blocks.  The face
+blocks are built in dg_core, whose DG norm evaluates the same J0 and J1.
 
 A is assembled block by block, with no triplet list.  Each cell has one
 12x12 diagonal block (curl-curl - k^2 alpha^2 mass plus the self terms of
@@ -29,8 +30,8 @@ import scipy.sparse as sp
 from . import kernels
 from .dg_core import (
     DGField,
-    QuadratureRule,
-    _face_trace_matrix,
+    _boundary_tangential_block,
+    _interior_face_blocks,
     curl_vectors,
     gauss01,
     make_quadrature,
@@ -70,43 +71,6 @@ class SystemMatrix:
         hsh.update(A.indices.astype(np.int64).tobytes())
         hsh.update(A.data.tobytes())
         return hsh.hexdigest()
-
-
-def _interior_face_blocks(axis: int, h: float, quad: QuadratureRule):
-    """Local 24x24 blocks for one interior face orientation.
-
-    Dof layout: 0..11 owner, 12..23 neighbor.  The owner sees the face at
-    local coordinate 0 along `axis` (it has the larger label), the
-    neighbor at 1; the face normal is -e_axis.  Returns
-    (flux_block, j0_block_unscaled, j1_block_unscaled) where the penalty
-    blocks still need the gamma0/h and gamma1*h factors.
-    """
-    area = h * h
-    nu = np.zeros(3)
-    nu[axis] = -1.0
-
-    T_own = _face_trace_matrix(h, axis, 0.0, True, quad)   # (nq,12,3)
-    T_nb = _face_trace_matrix(h, axis, 1.0, True, quad)
-    # jump = owner - neighbor
-    JT = np.concatenate([T_own, -T_nb], axis=1)            # (nq,24,3)
-    int_jt = area * np.einsum("q,qic->ic", quad.face_weights, JT)   # (24,3)
-    M_jt = area * np.einsum("q,qic,qjc->ij", quad.face_weights, JT, JT)
-
-    cxn = np.cross(curl_vectors(h), nu)                    # (12,3)
-    avg_cxn = 0.5 * np.vstack([cxn, cxn])                  # (24,3)
-    jmp_cxn = np.vstack([cxn, -cxn])
-
-    flux = -(int_jt @ avg_cxn.T + avg_cxn @ int_jt.T)      # symmetric
-    j0 = M_jt
-    j1 = area * (jmp_cxn @ jmp_cxn.T)
-    return flux, j0, j1
-
-
-def _boundary_tangential_block(axis: int, side: int, h: float,
-                               quad: QuadratureRule) -> np.ndarray:
-    """12x12 tangential trace mass matrix on one boundary face type."""
-    T = _face_trace_matrix(h, axis, float(side), True, quad)
-    return h * h * np.einsum("q,qic,qjc->ij", quad.face_weights, T, T)
 
 
 def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,

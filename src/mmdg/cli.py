@@ -101,6 +101,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             typ = fields[key]
             if typ in ("bool", bool):
+                if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError(f"config key {key!r} must be a boolean "
+                                     f"(1/true/yes or 0/false/no), got {val!r}")
                 values[key] = val.lower() in ("1", "true", "yes")
             elif typ in ("int", int):
                 values[key] = int(val)
@@ -118,11 +121,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_manifest(outdir: Path, config: RunConfig, extra: dict) -> None:
+def _write_manifest(outdir: Path, config: RunConfig, argv: list[str],
+                    extra: dict) -> None:
     manifest = {
         "version": __version__,
         "config": dataclasses.asdict(config),
-        "argv": sys.argv[1:],
+        "argv": argv,
         **extra,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -177,7 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _write_timings(outdir / "timings.csv", results)
     any_res = next(iter(results.values()))
-    _write_manifest(outdir, cfg, {
+    _write_manifest(outdir, cfg, args.argv, {
         "algorithms": sorted(results),
         "matrix_hash": any_res.matrix_hash,
         "diagnostics": any_res.diagnostics,
@@ -218,7 +222,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             w.writerow([r["N"]] + [repr(r[key]) for key in header[1:]])
     _write_timings(outdir / "timings.csv", results)
     any_res = next(iter(results.values()))
-    _write_manifest(outdir, cfg, {
+    _write_manifest(outdir, cfg, args.argv, {
         "command": "compare",
         "N_max": n_max,
         "eps_sweep": eps_list,
@@ -289,7 +293,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = make_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

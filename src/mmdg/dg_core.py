@@ -4,6 +4,11 @@ Each cell carries 12 local degrees of freedom: 3 vector components times
 the 4 scalar monomials {1, x, y, z} in cell-local coordinates scaled to
 [0,1]^3.  Local dof index = 4*component + monomial.  Global dof index =
 12*cell + local.  Curls of basis functions are constant per cell.
+
+The interior-penalty face terms J0 (tangential jumps) and J1 (tangential
+curl jumps) are defined once, as the 24x24 face blocks that build the
+penalty part of the IP-DG matrix; the DG norm evaluates them with the
+same blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ class QuadratureRule:
     """Tensor Gauss rules for cells (q^3 points) and faces (q^2 points),
     in local [0,1] coordinates; weights sum to 1."""
 
-    q: int
     cell_points: np.ndarray   # (q^3, 3)
     cell_weights: np.ndarray  # (q^3,)
     face_points: np.ndarray   # (q^2, 2)
@@ -85,19 +89,8 @@ def make_quadrature(q: int = 2) -> QuadratureRule:
     cw = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
     fp = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     fw = (w[:, None] * w[None, :]).ravel()
-    return QuadratureRule(q=q, cell_points=cp, cell_weights=cw,
+    return QuadratureRule(cell_points=cp, cell_weights=cw,
                           face_points=fp, face_weights=fw)
-
-
-def face_local_points(axis: int, side: float, pts2: np.ndarray) -> np.ndarray:
-    """Embed 2D face quadrature points into local cell coordinates with
-    the coordinate along `axis` pinned to `side`."""
-    out = np.empty((len(pts2), 3))
-    tang = [a for a in range(3) if a != axis]
-    out[:, axis] = side
-    out[:, tang[0]] = pts2[:, 0]
-    out[:, tang[1]] = pts2[:, 1]
-    return out
 
 
 @dataclass
@@ -143,52 +136,59 @@ def eval_field(field: DGField, cell: int, point) -> np.ndarray:
     return c @ mono
 
 
-def eval_curl(field: DGField, cell: int) -> np.ndarray:
-    """Cellwise-constant curl of the field on `cell`."""
-    mesh = field.mesh
-    if not 0 <= cell < mesh.n_cells:
-        raise IndexError(f"cell index {cell} out of range")
-    return field.cellwise()[cell] @ curl_vectors(mesh.h)
-
-
 def all_curls(field: DGField) -> np.ndarray:
     """Curl of the field on every cell, shape (n_cells, 3)."""
     return field.cellwise() @ curl_vectors(field.mesh.h)
 
 
-def jump(field: DGField, iface: int, point) -> np.ndarray:
-    """Jump (owner trace minus neighbor trace) at a physical point on an
-    interior face."""
-    mesh = field.mesh
-    return eval_field(field, int(mesh.iface_owner[iface]), point) - eval_field(
-        field, int(mesh.iface_neighbor[iface]), point
-    )
-
-
-def average(field: DGField, iface: int, point) -> np.ndarray:
-    """Average of the two traces at a physical point on an interior face."""
-    mesh = field.mesh
-    return 0.5 * (
-        eval_field(field, int(mesh.iface_owner[iface]), point)
-        + eval_field(field, int(mesh.iface_neighbor[iface]), point)
-    )
-
-
-def _face_trace_matrix(h: float, axis: int, side: float, drop_axis: bool,
+def _face_trace_matrix(axis: int, side: float,
                        quad: QuadratureRule) -> np.ndarray:
-    """Trace values of the 12 local basis functions at face quadrature
-    points, shape (nq, 12, 3); optionally with the normal component
-    projected out."""
-    pts = face_local_points(axis, side, quad.face_points)
-    mono = monomial_values(pts)  # (nq, 4)
-    nq = len(pts)
-    T = np.zeros((nq, N_LOCAL, 3))
+    """Tangential trace values of the 12 local basis functions at the
+    quadrature points of the local face at coordinate `side` along `axis`,
+    shape (nq, 12, 3); the normal component is projected out."""
+    mono = monomial_values(np.insert(quad.face_points, axis, side, axis=1))
+    T = np.zeros((len(mono), N_LOCAL, 3))
     for c in range(3):
-        if drop_axis and c == axis:
-            continue
-        for m in range(4):
-            T[:, 4 * c + m, c] = mono[:, m]
+        if c != axis:
+            T[:, 4 * c : 4 * c + 4, c] = mono
     return T
+
+
+def _interior_face_blocks(axis: int, h: float, quad: QuadratureRule):
+    """Local 24x24 blocks for one interior face orientation.
+
+    Dof layout: 0..11 owner, 12..23 neighbor.  The owner sees the face at
+    local coordinate 0 along `axis` (it has the larger label), the
+    neighbor at 1; the face normal is -e_axis.  Returns
+    (flux_block, j0_block_unscaled, j1_block_unscaled) where the penalty
+    blocks still need the gamma0/h and gamma1*h factors.
+    """
+    area = h * h
+    nu = np.zeros(3)
+    nu[axis] = -1.0
+
+    T_own = _face_trace_matrix(axis, 0.0, quad)            # (nq,12,3)
+    T_nb = _face_trace_matrix(axis, 1.0, quad)
+    # jump = owner - neighbor
+    JT = np.concatenate([T_own, -T_nb], axis=1)            # (nq,24,3)
+    int_jt = area * np.einsum("q,qic->ic", quad.face_weights, JT)   # (24,3)
+    M_jt = area * np.einsum("q,qic,qjc->ij", quad.face_weights, JT, JT)
+
+    cxn = np.cross(curl_vectors(h), nu)                    # (12,3)
+    avg_cxn = 0.5 * np.vstack([cxn, cxn])                  # (24,3)
+    jmp_cxn = np.vstack([cxn, -cxn])
+
+    flux = -(int_jt @ avg_cxn.T + avg_cxn @ int_jt.T)      # symmetric
+    j0 = M_jt
+    j1 = area * (jmp_cxn @ jmp_cxn.T)
+    return flux, j0, j1
+
+
+def _boundary_tangential_block(axis: int, side: int, h: float,
+                               quad: QuadratureRule) -> np.ndarray:
+    """12x12 tangential trace mass matrix on one boundary face type."""
+    T = _face_trace_matrix(axis, float(side), quad)
+    return h * h * np.einsum("q,qic,qjc->ij", quad.face_weights, T, T)
 
 
 def l2_norm(field: DGField) -> float:
@@ -199,39 +199,22 @@ def l2_norm(field: DGField) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _penalty_quadratic(field: DGField, gamma0: float, gamma1: float,
-                       quad: QuadratureRule | None = None) -> tuple[float, float]:
-    """J0(v,v) and J1(v,v) summed over interior faces."""
-    if quad is None:
-        quad = make_quadrature(2)
+def _penalty_quadratic(field: DGField, gamma0: float,
+                       gamma1: float) -> tuple[float, float]:
+    """J0(v,v) and J1(v,v) summed over interior faces, with the face
+    blocks of the matrix assembly."""
     mesh = field.mesh
     h = mesh.h
-    area = mesh.face_area
+    quad = make_quadrature(2)
     cw = field.cellwise()
-    curls = all_curls(field)
-    j0 = 0.0
-    j1 = 0.0
+    j0 = j1 = 0.0
     for axis in range(3):
         sel = mesh.iface_axis == axis
-        if not np.any(sel):
-            continue
-        own = mesh.iface_owner[sel]
-        nb = mesh.iface_neighbor[sel]
-        nu = np.zeros(3)
-        nu[axis] = -1.0
-        # tangential jump at face quadrature points: owner trace (local
-        # face at coord 0) minus neighbor trace (coord 1)
-        T_own = _face_trace_matrix(h, axis, 0.0, True, quad)  # (nq,12,3)
-        T_nb = _face_trace_matrix(h, axis, 1.0, True, quad)
-        jt = np.einsum("ni,qic->nqc", cw[own], T_own) - np.einsum(
-            "ni,qic->nqc", cw[nb], T_nb
-        )
-        j0 += (gamma0 / h) * area * float(
-            np.einsum("q,nqc,nqc->", quad.face_weights, jt.conj(), jt).real
-        )
-        jc = np.cross(curls[own] - curls[nb], nu)
-        j1 += gamma1 * h * area * float(np.sum((jc.conj() * jc).real))
-    return j0, j1
+        v = np.hstack([cw[mesh.iface_owner[sel]], cw[mesh.iface_neighbor[sel]]])
+        _, J0, J1 = _interior_face_blocks(axis, h, quad)
+        j0 += (gamma0 / h) * np.vdot(v, v @ J0).real
+        j1 += gamma1 * h * np.vdot(v, v @ J1).real
+    return float(j0), float(j1)
 
 
 def dg_seminorm(field: DGField, gamma0: float, gamma1: float) -> float:
@@ -248,23 +231,3 @@ def dg_norm(field: DGField, gamma0: float, gamma1: float) -> float:
     s = dg_seminorm(field, gamma0, gamma1)
     l = l2_norm(field)
     return float(np.sqrt(s * s + l * l))
-
-
-def boundary_l2(field: DGField, tangential_only: bool = False) -> float:
-    """L2 norm of the (optionally tangential) trace over the domain boundary."""
-    mesh = field.mesh
-    quad = make_quadrature(2)
-    cw = field.cellwise()
-    total = 0.0
-    for axis in range(3):
-        for side in (0, 1):
-            sel = (mesh.bface_axis == axis) & (mesh.bface_side == side)
-            if not np.any(sel):
-                continue
-            cells = mesh.bface_cell[sel]
-            T = _face_trace_matrix(mesh.h, axis, float(side), tangential_only, quad)
-            tr = np.einsum("ni,qic->nqc", cw[cells], T)
-            total += mesh.face_area * float(
-                np.einsum("q,nqc,nqc->", quad.face_weights, tr.conj(), tr).real
-            )
-    return float(np.sqrt(max(total, 0.0)))

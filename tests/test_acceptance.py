@@ -29,8 +29,6 @@ from mmdg.random_field import (
     sample_from_kl,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 BASE = RunConfig(L=5, k=2.0, lam=1.0, M=50, N=6, epsilon=0.1,
                  field="gaussian", ell=0.5, seed=0)
 

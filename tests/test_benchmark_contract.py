@@ -1,30 +1,38 @@
 """The names the benchmark under perfbench/ reads from the package.
 
 perfbench/tracer.py wraps module-level entry points looked up in each
-owner's __dict__, and perfbench/run.py stamps kernels.USE_NUMBA.  A
-deleted or renamed name would otherwise surface only as a KeyError inside
-a traced benchmark run.
+owner's __dict__.  perfbench/run.py stamps kernels.USE_NUMBA, builds a
+RunConfig for each of its WORKLOADS, runs one driver on it and reads
+psi.coeffs, timings["setup_s"], field_stats["sup_norm_max"] and
+factorizations off the result.  A deleted or renamed name would otherwise
+surface only as an error inside a benchmark run.
 """
 
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracer     # dataclasses look their module up
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+def _load(filename):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{Path(filename).stem}", PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("owner, attr, span", _targets())
+RUN = _load("run.py")
+
+
+@pytest.mark.parametrize("owner, attr, span", _load("tracer.py").TARGETS)
 def test_tracer_targets_resolve(owner, attr, span):
     module, _, cls = owner.partition(":")
     obj = importlib.import_module(module)
@@ -37,3 +45,15 @@ def test_numba_stamp_field_exists():
     from mmdg import kernels
 
     assert hasattr(kernels, "USE_NUMBA")
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_workload_runs_and_reports(name):
+    w = RUN.WORKLOADS[name]
+    cfg = RUN.make_config(w, 0)
+    cfg.validate()
+    res = RUN.driver_fn(w.driver)(replace(cfg, L=2, M=2))
+    assert np.isfinite(res.psi.coeffs).all()
+    assert res.timings["setup_s"] >= 0.0
+    assert res.field_stats["sup_norm_max"] >= 0.0
+    assert res.factorizations == (1 if w.driver == "multimodes" else 2)

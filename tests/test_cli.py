@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +133,32 @@ def test_config_file_with_flag_override(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["L"] == 3
     assert manifest["config"]["epsilon"] == 0.1  # flag wins
+
+
+@pytest.mark.parametrize("text, expected", [("ture", None), ("false", False),
+                                             ("yes", True)])
+def test_config_file_bool_values(tmp_path, capsys, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"L = 2\nM = 1\nN = 1\nclamp = {text}\n")
+    out = tmp_path / "out"
+    rc = run_cli(["run", "--config", cfg, "--out", out])
+    if expected is None:
+        assert rc == 2
+        assert "clamp" in capsys.readouterr().err
+    else:
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["clamp"] is expected
+
+
+def test_manifest_records_argv_passed_to_main(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--its-own-flag"])
+    out = tmp_path / "out"
+    argv = ["run", "--L", "2", "--samples", "1", "--modes", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["argv"] == argv
 
 
 def test_manifest_reproducibility(tmp_path):

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmdg.assembly import assemble_a_h
 from mmdg.dg_core import (
     MONOMIAL_GRADS,
     DGField,
+    _penalty_quadratic,
     all_curls,
-    average,
-    boundary_l2,
     curl_vectors,
     dg_norm,
     dg_seminorm,
-    eval_curl,
     eval_field,
-    jump,
     l2_norm,
     make_quadrature,
     monomial_values,
@@ -86,13 +84,13 @@ def test_curl_hand_computed_cases():
     m = build_uniform_mesh(1)
     # F = (0, 0, x) -> curl = (0, -1, 0)
     f = linear_field(m, lambda x: [0.0, 0.0, x[0]])
-    assert np.allclose(eval_curl(f, 0), [0, -1, 0], atol=1e-14)
+    assert np.allclose(all_curls(f)[0], [0, -1, 0], atol=1e-14)
     # constant -> zero curl
     g = DGField.constant(m, [3.0, -1.0, 2.0])
-    assert np.allclose(eval_curl(g, 0), [0, 0, 0])
+    assert np.allclose(all_curls(g)[0], [0, 0, 0])
     # F = (y, z, x) -> curl = (-1, -1, -1)
     p = linear_field(m, lambda x: [x[1], x[2], x[0]])
-    assert np.allclose(eval_curl(p, 0), [-1, -1, -1], atol=1e-14)
+    assert np.allclose(all_curls(p)[0], [-1, -1, -1], atol=1e-14)
 
 
 def test_curl_chain_rule_factor():
@@ -101,7 +99,7 @@ def test_curl_chain_rule_factor():
     m = build_uniform_mesh(4)
     f = linear_field(m, lambda x: [0.0, 0.0, x[0]])
     for cell in range(m.n_cells):
-        assert np.allclose(eval_curl(f, cell), [0, -1, 0], atol=1e-13)
+        assert np.allclose(all_curls(f)[cell], [0, -1, 0], atol=1e-13)
 
 
 @pytest.mark.parametrize("L", [1, 3, 6, 7])
@@ -123,54 +121,6 @@ def test_curl_linearity(seed, a, b):
     w = DGField(m, a * u.coeffs + b * v.coeffs)
     assert np.allclose(all_curls(w), a * all_curls(u) + b * all_curls(v),
                        atol=1e-12)
-
-
-def test_jump_and_average_definitions():
-    m = build_uniform_mesh(2)
-    face = 0
-    own, nb = int(m.iface_owner[face]), int(m.iface_neighbor[face])
-    coeffs = np.zeros(12 * m.n_cells, dtype=complex)
-    coeffs[12 * own + 0] = 2.0      # component 1 constant on owner
-    coeffs[12 * nb + 0] = 0.5
-    f = DGField(m, coeffs)
-    # any point on the shared face
-    axis = m.iface_axis[face]
-    pt = m.cell_centers[own].copy()
-    pt[axis] -= 0.5 * m.h
-    assert np.allclose(jump(f, face, pt), [1.5, 0, 0])
-    assert np.allclose(average(f, face, pt), [1.25, 0, 0])
-
-
-def test_jump_zero_for_continuous_field():
-    m = build_uniform_mesh(3)
-    f = linear_field(m, lambda x: [1 + 2 * x[0] - x[2], x[1], x[0] + x[1]])
-    rng = np.random.default_rng(1)
-    for face in rng.integers(0, m.n_interior_faces, 8):
-        axis = m.iface_axis[face]
-        pt = m.cell_centers[m.iface_owner[face]].astype(float).copy()
-        pt[axis] -= 0.5 * m.h
-        t = [a for a in range(3) if a != axis]
-        pt[t[0]] += rng.uniform(-0.4, 0.4) * m.h
-        pt[t[1]] += rng.uniform(-0.4, 0.4) * m.h
-        assert np.allclose(jump(f, int(face), pt), 0, atol=1e-12)
-
-
-def test_label_swap_negates_jump():
-    # swapping which cell is treated as owner negates the jump and leaves
-    # the average unchanged; emulate by evaluating traces directly
-    m = build_uniform_mesh(2)
-    rng = np.random.default_rng(3)
-    f = DGField(m, rng.normal(size=12 * m.n_cells).astype(complex))
-    face = 5
-    own, nb = int(m.iface_owner[face]), int(m.iface_neighbor[face])
-    axis = m.iface_axis[face]
-    pt = m.cell_centers[own].astype(float).copy()
-    pt[axis] -= 0.5 * m.h
-    j = jump(f, face, pt)
-    swapped = eval_field(f, nb, pt) - eval_field(f, own, pt)
-    assert np.allclose(swapped, -j)
-    avg = average(f, face, pt)
-    assert np.allclose(0.5 * (eval_field(f, nb, pt) + eval_field(f, own, pt)), avg)
 
 
 def test_l2_norm_constant_and_indicator():
@@ -208,6 +158,70 @@ def test_indicator_j0_against_face_by_face_oracle():
             expected += (1.0 / m.h) * m.face_area * jt_sq
     got = dg_seminorm(f, 1.0, 0.0) ** 2  # curl of constant = 0
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def trace_penalty_oracle(field, gamma0, gamma1):
+    """J0(v,v) and J1(v,v) integrated from pointwise traces: the tangential
+    jump of the two cell traces at the face Gauss points, and the jump of
+    the cellwise curls crossed with the face normal."""
+    quad = make_quadrature(2)
+    mesh = field.mesh
+    h = mesh.h
+    cw = field.cellwise()
+    curls = all_curls(field)
+    j0 = j1 = 0.0
+    for axis in range(3):
+        sel = mesh.iface_axis == axis
+        own, nb = mesh.iface_owner[sel], mesh.iface_neighbor[sel]
+        tang = [a for a in range(3) if a != axis]
+
+        def traces(cells, side):
+            # tangential trace on the local face at `side` along `axis`
+            pts = np.empty((len(quad.face_points), 3))
+            pts[:, axis] = side
+            pts[:, tang[0]] = quad.face_points[:, 0]
+            pts[:, tang[1]] = quad.face_points[:, 1]
+            vals = np.einsum("ncm,qm->nqc", cw[cells].reshape(-1, 3, 4),
+                             monomial_values(pts))
+            vals[:, :, axis] = 0.0
+            return vals
+
+        # the owner sees the face at local coordinate 0, the neighbor at 1
+        jt = traces(own, 0.0) - traces(nb, 1.0)
+        j0 += (gamma0 / h) * mesh.face_area * float(
+            np.einsum("q,nqc,nqc->", quad.face_weights, jt.conj(), jt).real)
+        nu = np.zeros(3)
+        nu[axis] = -1.0
+        jc = np.cross(curls[own] - curls[nb], nu)
+        j1 += gamma1 * h * mesh.face_area * float(np.sum((jc.conj() * jc).real))
+    return j0, j1
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_penalty_quadratic_matches_trace_oracle(L):
+    m = build_uniform_mesh(L)
+    rng = np.random.default_rng(L)
+    f = DGField(m, rng.normal(size=12 * m.n_cells)
+                + 1j * rng.normal(size=12 * m.n_cells))
+    got = _penalty_quadratic(f, 10.0, 0.1)
+    ref = trace_penalty_oracle(f, 10.0, 0.1)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-13 * abs(r)
+    if L > 1:
+        assert min(ref) > 0
+
+
+def test_penalty_quadratic_is_the_matrix_penalty():
+    # v^H (P(gamma0, gamma1) - P(0, 0)) v = J0(v,v) + J1(v,v): the norm's
+    # penalty terms are the interior penalty part of A = S - iP
+    m = build_uniform_mesh(3)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=12 * m.n_cells) + 1j * rng.normal(size=12 * m.n_cells)
+    P = assemble_a_h(m, 2.0, 1.0, 10.0, 0.1).p_part
+    P0 = assemble_a_h(m, 2.0, 1.0, 0.0, 0.0).p_part
+    quad_form = (v.conj() @ ((P - P0) @ v)).real
+    j0, j1 = _penalty_quadratic(DGField(m, v), 10.0, 0.1)
+    assert quad_form == pytest.approx(j0 + j1, rel=1e-13)
 
 
 def test_continuous_linear_field_penalties_vanish():
@@ -266,12 +280,3 @@ def test_basis_linear_independence():
     # local Gram matrix must be nonsingular
     w = np.linalg.eigvalsh(ref_mass_12())
     assert w.min() > 1e-4
-
-
-def test_boundary_l2_constant():
-    m = build_uniform_mesh(2)
-    f = DGField.constant(m, [1, 0, 0])
-    # |f| = 1 on all 6 unit faces
-    assert boundary_l2(f) == pytest.approx(np.sqrt(6.0), rel=1e-12)
-    # tangential trace drops the x component on the two x-normal faces
-    assert boundary_l2(f, tangential_only=True) == pytest.approx(2.0, rel=1e-12)
