@@ -22,8 +22,10 @@ import numpy as np
 
 from . import __version__
 from .driver import (
+    FIELD_KINDS,
     MCResult,
     RunConfig,
+    _FieldDraws,
     compare_algorithms,
     run_multimodes,
     run_standard,
@@ -65,7 +67,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None, dest="M")
     p.add_argument("--modes", type=int, default=None, dest="N",
                    help="highest mode index (modes 0..N are used)")
-    p.add_argument("--field", choices=["gaussian", "uniform"], default=None)
+    p.add_argument("--field", choices=FIELD_KINDS, default=None)
     p.add_argument("--ell", type=float, default=None, help="correlation length")
     p.add_argument("--clamp", action="store_true", default=None,
                    help="clamp field samples to [-1, 1]")
@@ -90,13 +92,12 @@ def _read_config_file(path: Path) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict = {}
     if args.preset:
         values.update(PRESETS[args.preset])
     if args.config:
-        raw = _read_config_file(args.config)
-        fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-        for key, val in raw.items():
+        for key, val in _read_config_file(args.config).items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
             typ = fields[key]
@@ -111,8 +112,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 values[key] = float(val)
             else:
                 values[key] = val
-    for name in ("L", "k", "lam", "epsilon", "gamma0", "gamma1", "M", "N",
-                 "field", "ell", "clamp", "q_f", "seed", "workers"):
+    for name in fields:     # each config flag's dest is its field's name
         val = getattr(args, name, None)
         if val is not None:
             values[name] = val
@@ -130,6 +130,14 @@ def _write_manifest(outdir: Path, config: RunConfig, argv: list[str],
         **extra,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _write_field(path: Path, values: np.ndarray) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cell", "value"])
+        for i, v in enumerate(values):
+            w.writerow([i, repr(float(v))])
 
 
 def _write_solution(path: Path, psi) -> None:
@@ -173,14 +181,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 _write_solution(outdir / "solution" / f"phi_{n}.csv", phi)
 
     # dump the first sample's field draws for inspection
-    from .driver import _FieldDraws
-    mesh = build_uniform_mesh(cfg.L)
-    eta0, xi0 = _FieldDraws(mesh, cfg).draw(0)
-    eta0.export_csv(outdir / "fields" / "eta_sample0.csv")
-    xi0.export_csv(outdir / "fields" / "xi_sample0.csv")
+    any_res = next(iter(results.values()))
+    eta0, xi0 = _FieldDraws(any_res.psi.mesh, cfg).draw(0)
+    _write_field(outdir / "fields" / "eta_sample0.csv", eta0.values)
+    _write_field(outdir / "fields" / "xi_sample0.csv", xi0.values)
 
     _write_timings(outdir / "timings.csv", results)
-    any_res = next(iter(results.values()))
     _write_manifest(outdir, cfg, args.argv, {
         "algorithms": sorted(results),
         "matrix_hash": any_res.matrix_hash,

@@ -30,7 +30,8 @@ from .assembly import (
 )
 from .dg_core import DGField, dg_norm, l2_norm
 from .mesh import HexMesh, build_uniform_mesh
-from .random_field import CovarianceSpec, FieldSample, GaussianSampler, sample_uniform
+from .random_field import (CovarianceSpec, FieldSample, GaussianSampler,
+                           lipschitz_surrogate, sample_uniform)
 
 FIELD_KINDS = ("gaussian", "uniform")
 
@@ -60,6 +61,9 @@ class RunConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for name in "k lam epsilon gamma0 gamma1 ell mu_user".split():
+            if not np.isfinite(getattr(self, name) or 0.0):  # unset mu_user
+                raise ValueError(f"{name} must be finite")
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if self.k <= 0 or self.lam <= 0:
@@ -78,6 +82,8 @@ class RunConfig:
             raise ValueError("correlation length must be positive")
         if self.q_f < 1 or self.workers < 1:
             raise ValueError("q_f and workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -150,13 +156,13 @@ def _ordered_results(fn, n: int, workers: int):
             yield pending.popleft().result()
 
 
-def diagnostics(config: RunConfig, mu: float | None = None) -> dict:
+def diagnostics(config: RunConfig, mu_hat: float = 1.0) -> dict:
     """Convergence-theory products sigma, sigma_hat, sigma_tilde, with the
-    unknown analysis constants C0 and Chat0 set to 1.  Informational only:
-    theory guarantees geometric convergence of the mode series when they
-    are below 1, but a run proceeds whatever their values."""
-    if mu is None:
-        mu = config.mu_user if config.mu_user is not None else 1.0
+    unknown analysis constants C0 and Chat0 set to 1 and mu = config.mu_user,
+    or the measured mu_hat when that is unset.  Informational only: theory
+    guarantees geometric convergence of the mode series when they are
+    below 1, but a run proceeds whatever their values."""
+    mu = config.mu_user if config.mu_user is not None else mu_hat
     eps, k = config.epsilon, config.k
     sigma = 7.0 * eps * (1.0 + k) * (1.0 + mu)
     sigma_hat = 14.0 * (1.0 + k) * (1.0 + mu) * eps
@@ -173,8 +179,9 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     each block's fields into (n_cells, B) arrays and calls
     solve_block(etas, xis), which returns the block's (n_modes, n_dof)
     per-mode sums and the seconds spent per mode.  The block's field draws
-    are charged to mode 0.  The sums are reduced in block order; psi is
-    their eps^n-weighted mean.  The caller sets the factorization count."""
+    and the eta block's sup norm and Lipschitz surrogate are charged to
+    mode 0.  The sums are reduced in block order; psi is their
+    eps^n-weighted mean.  The caller sets the factorization count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -186,12 +193,11 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
         block = blocks[i]
         etas = np.empty((mesh.n_cells, len(block)))
         xis = np.empty((mesh.n_cells, len(block)))
-        stats = []
         for col, j in enumerate(block):
             eta, xi = draws.draw(j)
             etas[:, col] = eta.values
             xis[:, col] = xi.values
-            stats.append((eta.sup_norm, eta.mu_hat))
+        stats = (float(np.abs(etas).max()), lipschitz_surrogate(mesh, etas))
         t_draws = time.perf_counter() - t0
         mode_sums, mode_times = solve_block(etas, xis)
         mode_times[0] += t_draws
@@ -212,14 +218,12 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             )
         mode_acc += mode_sums
         per_mode_s += mode_times
-        stats.extend(st)
+        stats.append(st)
     t_end = time.perf_counter()
 
     eps_pow = config.epsilon ** np.arange(n_modes)
     fstats = {"sup_norm_max": max(s for s, _ in stats),
               "mu_hat_max": max(m for _, m in stats)}
-    diag = diagnostics(config, mu=config.mu_user
-                       if config.mu_user is not None else fstats["mu_hat_max"])
     return MCResult(
         psi=DGField(mesh, eps_pow @ mode_acc / config.M),
         mode_means=[DGField(mesh, mode_acc[n] / config.M)
@@ -230,7 +234,7 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             "setup_s": t_samples - t_start,
             "per_mode_s": per_mode_s.tolist(),
         },
-        diagnostics=diag,
+        diagnostics=diagnostics(config, fstats["mu_hat_max"]),
         field_stats=fstats,
         factorizations=0,
         config=config,

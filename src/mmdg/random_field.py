@@ -5,13 +5,14 @@ Three samplers are provided: Gaussian fields with exponential covariance
 values on [-1, 1], and a truncated discrete Karhunen-Loeve expansion for
 recasting general media into mean-plus-small-perturbation form.  All
 samplers take an explicit numpy Generator so that parallel sampling stays
-reproducible.
+reproducible, and return a FieldSample that holds only the per-cell
+values.  lipschitz_surrogate measures a field or a block of fields; the
+drivers call it once per block of samples.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,36 +36,15 @@ class FieldSample:
     """One realization of a per-cell constant random field."""
 
     values: np.ndarray
-    kind: str                       # gaussian | uniform | kl
-    sup_norm: float
-    mu_hat: float                   # adjacent-cell difference quotient
-    metadata: dict = field(default_factory=dict)
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell", "value"])
-            for i, v in enumerate(self.values):
-                w.writerow([i, repr(float(v))])
 
 
-def _lipschitz_surrogate(mesh: HexMesh, values: np.ndarray) -> float:
-    """Max |value difference| / center distance over face-adjacent cells."""
+def lipschitz_surrogate(mesh: HexMesh, values: np.ndarray) -> float:
+    """Max |value difference| / center distance over face-adjacent cells,
+    of one field (n_cells,) or of a block of fields (n_cells, B)."""
     if mesh.n_interior_faces == 0:
         return 0.0
     diff = np.abs(values[mesh.iface_owner] - values[mesh.iface_neighbor])
     return float(diff.max() / mesh.h)
-
-
-def _make_sample(mesh: HexMesh, values: np.ndarray, kind: str,
-                 metadata: dict | None = None) -> FieldSample:
-    return FieldSample(
-        values=values,
-        kind=kind,
-        sup_norm=float(np.abs(values).max()) if len(values) else 0.0,
-        mu_hat=_lipschitz_surrogate(mesh, values),
-        metadata=metadata or {},
-    )
 
 
 def covariance_matrix(mesh: HexMesh, spec: CovarianceSpec) -> np.ndarray:
@@ -87,29 +67,23 @@ class GaussianSampler:
 
     def __init__(self, mesh: HexMesh, spec: CovarianceSpec):
         self.mesh = mesh
-        self.spec = spec
         C = covariance_matrix(mesh, spec)
-        self.fallback = False
         try:
             self.factor = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
             # covariance numerically indefinite: floor the spectrum at 0
             w, V = np.linalg.eigh(C)
             self.factor = V * np.sqrt(np.clip(w, 0.0, None))
-            self.fallback = True
 
     def sample(self, rng: np.random.Generator, clamp: bool = False) -> FieldSample:
-        z = rng.standard_normal(self.mesh.n_cells)
-        values = self.factor @ z
-        meta = {"clamped": clamp, "eigen_fallback": self.fallback}
+        values = self.factor @ rng.standard_normal(self.mesh.n_cells)
         if clamp:
             values = np.clip(values, -1.0, 1.0)
-        return _make_sample(self.mesh, values, "gaussian", meta)
+        return FieldSample(values)
 
 
 def sample_uniform(mesh: HexMesh, rng: np.random.Generator) -> FieldSample:
-    values = rng.uniform(-1.0, 1.0, mesh.n_cells)
-    return _make_sample(mesh, values, "uniform")
+    return FieldSample(rng.uniform(-1.0, 1.0, mesh.n_cells))
 
 
 @dataclass
@@ -153,5 +127,4 @@ def sample_from_kl(mesh: HexMesh, basis: KLBasis, K: int,
     values = basis.mean + perturbation
     eps = basis.epsilon
     zeta = perturbation / eps if eps > 0 else np.zeros_like(perturbation)
-    sample = _make_sample(mesh, values, "kl", {"K": K, "epsilon": eps})
-    return KLSample(field=sample, epsilon=eps, zeta=zeta)
+    return KLSample(field=FieldSample(values), epsilon=eps, zeta=zeta)

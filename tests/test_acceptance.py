@@ -7,7 +7,6 @@ a failure raises before the line is printed.
 import dataclasses
 
 import numpy as np
-import pytest
 
 from mmdg import linalg
 from mmdg.assembly import assemble_a_h, assemble_mode_source, assemble_standard

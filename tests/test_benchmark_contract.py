@@ -5,7 +5,9 @@ owner's __dict__.  perfbench/run.py stamps kernels.USE_NUMBA, builds a
 RunConfig for each of its WORKLOADS, runs one driver on it and reads
 psi.coeffs, timings["setup_s"], field_stats["sup_norm_max"] and
 factorizations off the result.  A deleted or renamed name would otherwise
-surface only as an error inside a benchmark run.
+surface only as an error inside a benchmark run.  The tracer also cuts
+samples at every second random_field.draw span, so each sample must make
+exactly two calls of the wrapped draw entry points.
 """
 
 import importlib
@@ -30,15 +32,45 @@ def _load(filename):
 
 
 RUN = _load("run.py")
+TARGETS = _load("tracer.py").TARGETS
 
 
-@pytest.mark.parametrize("owner, attr, span", _load("tracer.py").TARGETS)
-def test_tracer_targets_resolve(owner, attr, span):
+def _owner(owner):
     module, _, cls = owner.partition(":")
     obj = importlib.import_module(module)
-    if cls:
-        obj = getattr(obj, cls)
-    assert attr in obj.__dict__, f"{owner}.{attr} ({span}) is gone"
+    return getattr(obj, cls) if cls else obj
+
+
+@pytest.mark.parametrize("owner, attr, span", TARGETS)
+def test_tracer_targets_resolve(owner, attr, span):
+    assert attr in _owner(owner).__dict__, f"{owner}.{attr} ({span}) is gone"
+
+
+@pytest.mark.parametrize("driver", ["multimodes", "standard"])
+@pytest.mark.parametrize("field, entry", [
+    ("gaussian", "mmdg.random_field:GaussianSampler.sample"),
+    ("uniform", "mmdg.driver.sample_uniform"),
+])
+def test_two_traced_draws_per_sample(driver, field, entry, monkeypatch):
+    from mmdg.driver import RunConfig
+
+    draw_targets = [(owner, attr) for owner, attr, span in TARGETS
+                    if span == "random_field.draw"]
+    assert sorted(draw_targets) == [
+        ("mmdg.driver", "sample_uniform"),
+        ("mmdg.random_field:GaussianSampler", "sample"),
+    ]
+    calls = []
+    for owner, attr in draw_targets:
+        def counting(*args, _f=getattr(_owner(owner), attr),
+                     _name=f"{owner}.{attr}", **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(_owner(owner), attr, counting)
+    M = 17
+    RUN.driver_fn(driver)(RunConfig(L=2, M=M, N=1, field=field))
+    assert calls == [entry] * (2 * M)
 
 
 def test_numba_stamp_field_exists():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -6,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from mmdg.cli import ERRORS_HEADER, main
+from mmdg.cli import ERRORS_HEADER, _build_config, main, make_parser
+from mmdg.driver import RunConfig, _FieldDraws
+from mmdg.mesh import build_uniform_mesh
 
 
 def run_cli(args):
@@ -83,6 +86,52 @@ def test_golden_csv_headers(tmp_path):
 def test_invalid_config_exit_code(tmp_path):
     rc = run_cli(["run", "--L", 0, "--out", tmp_path / "x"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--k", "nan"),
+    ("--lam", "nan"), ("--gamma0", "inf"), ("--ell", "nan"), ("--seed", -1),
+])
+def test_non_finite_config_exit_code(tmp_path, capsys, flag, value):
+    # an invalid config is refused before anything runs or is written
+    out = tmp_path / "x"
+    rc = run_cli(["run", "--L", 2, "--samples", 2, "--modes", 1,
+                  flag, value, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_every_config_flag_sets_its_field():
+    argv = ["run", "--L", "3", "--k", "1.5", "--lam", "2.5",
+            "--epsilon", "0.2", "--gamma0", "7", "--gamma1", "0.3",
+            "--samples", "9", "--modes", "5", "--field", "uniform",
+            "--ell", "0.25", "--clamp", "--qf", "3", "--seed", "6",
+            "--workers", "2"]
+    cfg = _build_config(make_parser().parse_args(argv))
+    assert cfg == RunConfig(L=3, k=1.5, lam=2.5, epsilon=0.2, gamma0=7.0,
+                            gamma1=0.3, M=9, N=5, field="uniform", ell=0.25,
+                            clamp=True, q_f=3, seed=6, workers=2)
+    # every field but mu_user, which has no flag, moved off its default
+    default = RunConfig()
+    moved = {f.name for f in dataclasses.fields(RunConfig)
+             if getattr(cfg, f.name) != getattr(default, f.name)}
+    assert moved == {f.name for f in dataclasses.fields(RunConfig)} - {"mu_user"}
+
+
+def test_field_csv_export(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--L", 2, "--samples", 1, "--modes", 1,
+                    "--seed", 8, "--out", out]) == 0
+    cfg = RunConfig(L=2, M=1, N=1, seed=8)
+    mesh = build_uniform_mesh(cfg.L)
+    for name, sample in zip(("eta", "xi"), _FieldDraws(mesh, cfg).draw(0)):
+        with open(out / "fields" / f"{name}_sample0.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["cell", "value"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(mesh.n_cells))
+        values = np.array([float(r[1]) for r in rows[1:]])
+        assert values.tobytes() == sample.values.tobytes()
 
 
 def test_non_finite_solution_exit_code(tmp_path, monkeypatch):

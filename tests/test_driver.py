@@ -7,6 +7,7 @@ import pytest
 
 from mmdg.dg_core import DGField, l2_norm
 from mmdg.driver import (
+    FIELD_KINDS,
     SAMPLE_BLOCK,
     MCResult,
     RunConfig,
@@ -19,6 +20,7 @@ from mmdg.driver import (
     truncate_modes,
 )
 from mmdg.mesh import build_uniform_mesh
+from mmdg.random_field import lipschitz_surrogate
 
 SMALL = RunConfig(L=2, M=3, N=3, epsilon=0.1, seed=11)
 
@@ -32,6 +34,10 @@ def test_config_validation():
         dict(L=0), dict(k=0.0), dict(lam=-1.0), dict(epsilon=-0.1),
         dict(gamma0=-1.0), dict(M=0), dict(N=-1), dict(field="levy"),
         dict(ell=0.0), dict(q_f=0), dict(workers=0),
+        dict(epsilon=np.nan), dict(epsilon=np.inf), dict(k=np.nan),
+        dict(k=np.inf), dict(lam=np.nan), dict(gamma0=np.inf),
+        dict(gamma1=np.nan), dict(ell=np.nan), dict(ell=np.inf),
+        dict(mu_user=np.nan), dict(mu_user=-np.inf), dict(seed=-1),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -157,6 +163,36 @@ def test_diagnostics_formulas():
     assert d["sigma_tilde"] == pytest.approx(4 * 1 * 3 * 0.1)
     z = diagnostics(dataclasses.replace(cfg, epsilon=0.0))
     assert z["sigma"] == z["sigma_hat"] == z["sigma_tilde"] == 0.0
+
+
+def test_diagnostics_mu_is_mu_user_when_set():
+    cfg = dataclasses.replace(SMALL, mu_user=0.25)
+    assert diagnostics(cfg, 7.0)["mu"] == 0.25
+    unset = dataclasses.replace(cfg, mu_user=None)
+    assert diagnostics(unset, 7.0)["mu"] == 7.0
+    assert diagnostics(unset)["mu"] == 1.0
+    for run in (run_multimodes, run_standard):
+        res = run(dataclasses.replace(cfg, M=2, N=1))
+        assert res.diagnostics == diagnostics(cfg)
+        assert res.field_stats["mu_hat_max"] != 0.25
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("M", [1, 17, 37])
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_field_stats_are_maxima_over_the_eta_draws(field, M, workers):
+    from mmdg.driver import _FieldDraws
+
+    cfg = dataclasses.replace(SMALL, field=field, M=M, N=1, workers=workers)
+    mesh = build_uniform_mesh(cfg.L)
+    draws = _FieldDraws(mesh, cfg)
+    etas = [draws.draw(j)[0].values for j in range(M)]
+    expected = {"sup_norm_max": max(float(np.abs(v).max()) for v in etas),
+                "mu_hat_max": max(lipschitz_surrogate(mesh, v) for v in etas)}
+    for run in (run_multimodes, run_standard):
+        res = run(cfg)
+        assert res.field_stats == expected      # bitwise: float ==
+        assert res.diagnostics["mu"] == expected["mu_hat_max"]
 
 
 def test_large_eps_runs_without_warning():
