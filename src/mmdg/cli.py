@@ -25,8 +25,8 @@ from .driver import (
     FIELD_KINDS,
     MCResult,
     RunConfig,
+    _error_rows,
     _FieldDraws,
-    compare_algorithms,
     run_multimodes,
     run_standard,
 )
@@ -212,13 +212,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     all_rows = []
     results = {}
     for eps in eps_list:
-        cfg_eps = dataclasses.replace(cfg, epsilon=eps)
-        rows, res_std, res_mm = compare_algorithms(cfg_eps, n_max)
+        cfg_eps = dataclasses.replace(cfg, epsilon=eps, N=n_max)
+        res_std = results[f"standard_eps{eps}"] = run_standard(cfg_eps)
+        if "multimodes" not in results:     # its modes serve every epsilon
+            results["multimodes"] = run_multimodes(cfg_eps)
+        rows = _error_rows(res_std, results["multimodes"])
         for r in rows:
             r["epsilon"] = eps
         all_rows.extend(rows)
-        results[f"standard_eps{eps}"] = res_std
-        results[f"multimodes_eps{eps}"] = res_mm
 
     header = ERRORS_HEADER + (["epsilon"] if len(eps_list) > 1 else [])
     with open(outdir / "errors.csv", "w", newline="") as fh:

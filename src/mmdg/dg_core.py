@@ -217,17 +217,14 @@ def _penalty_quadratic(field: DGField, gamma0: float,
     return float(j0), float(j1)
 
 
-def dg_seminorm(field: DGField, gamma0: float, gamma1: float) -> float:
-    """DG seminorm: curl energy plus the two interior penalty terms."""
+def dg_norm(field: DGField, gamma0: float, gamma1: float) -> float:
+    """DG norm: the seminorm s (curl energy plus the two interior penalty
+    terms) combined with the L2 norm l as sqrt(s^2 + l^2)."""
     if gamma0 < 0 or gamma1 < 0:
         raise ValueError("penalty parameters must be nonnegative")
     curls = all_curls(field)
     curl_sq = field.mesh.cell_volume * float(np.sum((curls.conj() * curls).real))
     j0, j1 = _penalty_quadratic(field, gamma0, gamma1)
-    return float(np.sqrt(max(curl_sq + j0 + j1, 0.0)))
-
-
-def dg_norm(field: DGField, gamma0: float, gamma1: float) -> float:
-    s = dg_seminorm(field, gamma0, gamma1)
+    s = np.sqrt(max(curl_sq + j0 + j1, 0.0))
     l = l2_norm(field)
     return float(np.sqrt(s * s + l * l))

@@ -308,18 +308,44 @@ def run_multimodes(config: RunConfig) -> MCResult:
     return res
 
 
+def _mode_sum(mode_means: list[DGField], eps: float, N: int) -> np.ndarray:
+    """sum_{n<=N} eps^n phi_n, accumulated in mode order."""
+    acc = np.zeros_like(mode_means[0].coeffs)
+    for n in range(N + 1):
+        acc += (eps ** n) * mode_means[n].coeffs
+    return acc
+
+
 def truncate_modes(result: MCResult, N: int) -> DGField:
     """Combined mean using only modes 0..N of a multi-modes result."""
     if result.mode_means is None:
         raise ValueError("result carries no per-mode means")
     if not 0 <= N < len(result.mode_means):
         raise ValueError("N out of range for the stored modes")
-    eps = result.config.epsilon
-    mesh = result.psi.mesh
-    acc = np.zeros_like(result.psi.coeffs)
-    for n in range(N + 1):
-        acc += (eps ** n) * result.mode_means[n].coeffs
-    return DGField(mesh, acc)
+    return DGField(result.psi.mesh,
+                   _mode_sum(result.mode_means, result.config.epsilon, N))
+
+
+def _error_rows(res_std: MCResult, res_mm: MCResult) -> list[dict]:
+    """Error rows of a reference result against each truncation of a
+    multi-modes result, weighted by the reference's epsilon: the mode means
+    do not depend on epsilon, so one multi-modes run serves every epsilon."""
+    cfg = res_std.config
+    setup = res_mm.timings["setup_s"]
+    per_mode = res_mm.timings["per_mode_s"]
+    rows = []
+    for N in range(len(res_mm.mode_means)):
+        psi_n = _mode_sum(res_mm.mode_means, cfg.epsilon, N)
+        diff = DGField(res_std.psi.mesh, res_std.psi.coeffs - psi_n)
+        rows.append({
+            "N": N,
+            "l2_error": l2_norm(diff),
+            "dg_error": dg_norm(diff, cfg.gamma0, cfg.gamma1),
+            "eps_pow_N": cfg.epsilon ** N,
+            "time_multimodes_s": setup + float(np.sum(per_mode[: N + 1])),
+            "time_standard_s": res_std.timings["total_s"],
+        })
+    return rows
 
 
 def compare_algorithms(config: RunConfig, N_max: int | None = None):
@@ -336,21 +362,7 @@ def compare_algorithms(config: RunConfig, N_max: int | None = None):
     cfg = replace(config, N=N_max)
     res_std = run_standard(cfg)
     res_mm = run_multimodes(cfg)
-    rows = []
-    setup = res_mm.timings["setup_s"]
-    per_mode = res_mm.timings["per_mode_s"]
-    for N in range(N_max + 1):
-        psi_n = truncate_modes(res_mm, N)
-        diff = DGField(psi_n.mesh, res_std.psi.coeffs - psi_n.coeffs)
-        rows.append({
-            "N": N,
-            "l2_error": l2_norm(diff),
-            "dg_error": dg_norm(diff, cfg.gamma0, cfg.gamma1),
-            "eps_pow_N": cfg.epsilon ** N,
-            "time_multimodes_s": setup + float(np.sum(per_mode[: N + 1])),
-            "time_standard_s": res_std.timings["total_s"],
-        })
-    return rows, res_std, res_mm
+    return _error_rows(res_std, res_mm), res_std, res_mm
 
 
 def component_integral(psi: DGField, component: int = 0) -> complex:

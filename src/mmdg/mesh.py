@@ -4,12 +4,13 @@ Cells are unit-cube scaled boxes of side h = 1/L, labeled lexicographically
 in their (i, j, k) integer coordinates: label = (i*L + j)*L + k, with i
 along x, j along y, k along z.  Every interior face stores the cell with
 the *larger* label as its owner, and the face normal points out of the
-owner.  This orientation fixes the sign of all DG jump terms.
+owner.  The face lies on the owner's low-coordinate side, so that normal
+is -e_axis.  This orientation fixes the sign of all DG jump terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +26,10 @@ class HexMesh:
     iface_owner: np.ndarray       # (n_if,) owner cell = larger label
     iface_neighbor: np.ndarray    # (n_if,)
     iface_axis: np.ndarray        # (n_if,) axis perpendicular to the face
-    iface_normal: np.ndarray      # (n_if, 3) unit normal out of the owner
     # boundary faces
     bface_cell: np.ndarray        # (n_bf,)
     bface_axis: np.ndarray        # (n_bf,)
     bface_side: np.ndarray        # (n_bf,) 0 = low coordinate side, 1 = high
-    bface_normal: np.ndarray      # (n_bf, 3) outward domain normal
 
     @property
     def n_cells(self) -> int:
@@ -45,19 +44,12 @@ class HexMesh:
         return len(self.bface_cell)
 
     @property
-    def face_area(self) -> float:
-        return self.h * self.h
-
-    @property
     def cell_volume(self) -> float:
         return self.h ** 3
 
     def cell_lower(self, cell) -> np.ndarray:
         """Lower-left-front corner of a cell (vectorized over cell indices)."""
         return self.cell_centers[cell] - 0.5 * self.h
-
-    def cell_index(self, i: int, j: int, k: int) -> int:
-        return (i * self.L + j) * self.L + k
 
 
 def build_uniform_mesh(L: int) -> HexMesh:
@@ -71,9 +63,7 @@ def build_uniform_mesh(L: int) -> HexMesh:
     labels = (ii * L + jj) * L + kk
     centers = np.stack(
         [(ii + 0.5) * h, (jj + 0.5) * h, (kk + 0.5) * h], axis=-1
-    ).reshape(-1, 3)[labels.ravel().argsort()]
-    # labels.ravel() is already sorted for this construction; keep explicit
-    # argsort so center row c is always the center of cell with label c.
+    ).reshape(-1, 3)          # row c is the center of the cell labeled c
 
     owners, neighbors, axes = [], [], []
     for axis, step in ((0, L * L), (1, L), (2, 1)):
@@ -88,10 +78,6 @@ def build_uniform_mesh(L: int) -> HexMesh:
     iface_owner = np.concatenate(owners)
     iface_neighbor = np.concatenate(neighbors)
     iface_axis = np.concatenate(axes)
-    # owner's face is on its low-coordinate side, so the outward normal of
-    # the owner is -e_axis
-    iface_normal = np.zeros((len(iface_owner), 3))
-    iface_normal[np.arange(len(iface_owner)), iface_axis] = -1.0
 
     bcells, baxes, bsides = [], [], []
     for axis in range(3):
@@ -105,13 +91,9 @@ def build_uniform_mesh(L: int) -> HexMesh:
     bface_cell = np.concatenate(bcells)
     bface_axis = np.concatenate(baxes)
     bface_side = np.concatenate(bsides)
-    bface_normal = np.zeros((len(bface_cell), 3))
-    bface_normal[np.arange(len(bface_cell)), bface_axis] = np.where(
-        bface_side == 0, -1.0, 1.0
-    )
 
-    for arr in (centers, iface_owner, iface_neighbor, iface_axis, iface_normal,
-                bface_cell, bface_axis, bface_side, bface_normal):
+    for arr in (centers, iface_owner, iface_neighbor, iface_axis,
+                bface_cell, bface_axis, bface_side):
         arr.setflags(write=False)
 
     return HexMesh(
@@ -121,9 +103,7 @@ def build_uniform_mesh(L: int) -> HexMesh:
         iface_owner=iface_owner,
         iface_neighbor=iface_neighbor,
         iface_axis=iface_axis,
-        iface_normal=iface_normal,
         bface_cell=bface_cell,
         bface_axis=bface_axis,
         bface_side=bface_side,
-        bface_normal=bface_normal,
     )

@@ -27,8 +27,8 @@ class CovarianceSpec:
     ell: float
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError("correlation length must be positive")
+        if not (np.isfinite(self.ell) and self.ell > 0):
+            raise ValueError("correlation length must be finite and positive")
 
 
 @dataclass
@@ -109,10 +109,9 @@ class KLSample(NamedTuple):
 def compute_kl(mesh: HexMesh, spec: CovarianceSpec,
                mean: float | np.ndarray = 1.0) -> KLBasis:
     C = covariance_matrix(mesh, spec)
-    w, V = np.linalg.eigh(C)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    V = V[:, order]
+    w, V = np.linalg.eigh(C)                   # ascending; reverse it
+    w = np.clip(w[::-1], 0.0, None)
+    V = np.asfortranarray(V[:, ::-1])          # eigh's column-major layout
     mean_arr = np.broadcast_to(np.asarray(mean, dtype=float), (mesh.n_cells,)).copy()
     return KLBasis(eigenvalues=w, eigenvectors=V, mean=mean_arr)
 

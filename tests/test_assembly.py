@@ -86,7 +86,8 @@ def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
         own = int(mesh.iface_owner[f])
         nb = int(mesh.iface_neighbor[f])
         axis = int(mesh.iface_axis[f])
-        nu = mesh.iface_normal[f]
+        # unit normal out of the owner, toward the neighbor's center
+        nu = (mesh.cell_centers[nb] - mesh.cell_centers[own]) / h
         coord = mesh.cell_lower(own)[axis]
         members = [(own, 1.0), (nb, -1.0)]
         for (ci, si) in members:

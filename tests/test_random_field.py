@@ -14,8 +14,9 @@ from mmdg.random_field import (
 
 
 def test_covariance_spec_validation():
-    with pytest.raises(ValueError):
-        CovarianceSpec(ell=0.0)
+    for ell in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="correlation length"):
+            CovarianceSpec(ell=ell)
     with pytest.raises(TypeError):  # exponential is the only kind
         CovarianceSpec(ell=0.5, kind="squared-exponential")
 
