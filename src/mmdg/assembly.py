@@ -44,9 +44,12 @@ from .mesh import HexMesh
 @dataclass
 class SystemMatrix:
     """Sparse complex IP-DG matrix A = S - i P in canonical CSC format
-    (sorted indices, no duplicates, no stored zeros)."""
+    (sorted indices, no duplicates, no stored zeros).  mirror_mesh is the
+    mesh whose three mirrors A commutes with, or None when it need not:
+    linalg.factorize factors a matrix that names one in its mirror basis."""
 
     matrix: sp.csc_matrix
+    mirror_mesh: HexMesh | None = None
 
     @property
     def n(self) -> int:
@@ -74,7 +77,7 @@ class SystemMatrix:
 
 
 def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
-              gamma1: float, alpha_sq: np.ndarray) -> SystemMatrix:
+              gamma1: float, alpha_sq: np.ndarray) -> sp.csc_matrix:
     if k <= 0:
         raise ValueError("wave number k must be positive")
     if lam <= 0:
@@ -132,13 +135,17 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
     n = 12 * nc
     A = sp.bsr_matrix((data, brow[order], indptr), shape=(n, n)).tocsr().T
     A.eliminate_zeros()
-    return SystemMatrix(A)
+    return A
 
 
 def assemble_a_h(mesh: HexMesh, k: float, lam: float, gamma0: float,
                  gamma1: float) -> SystemMatrix:
-    """Sample-independent IP-DG matrix (background coefficient 1)."""
-    return _assemble(mesh, k, lam, gamma0, gamma1, np.ones(mesh.n_cells))
+    """Sample-independent IP-DG matrix (background coefficient 1).  Its
+    coefficients are constant and every boundary face carries the same
+    impedance condition, so it commutes with the mesh's mirrors."""
+    return SystemMatrix(
+        _assemble(mesh, k, lam, gamma0, gamma1, np.ones(mesh.n_cells)),
+        mirror_mesh=mesh)
 
 
 def assemble_standard(mesh: HexMesh, k: float, lam: float, gamma0: float,
@@ -146,7 +153,7 @@ def assemble_standard(mesh: HexMesh, k: float, lam: float, gamma0: float,
     """Per-sample IP-DG matrix with the cellwise-constant coefficient
     alpha^2 in the mass term."""
     alpha = np.asarray(alpha_values, dtype=float)
-    return _assemble(mesh, k, lam, gamma0, gamma1, alpha * alpha)
+    return SystemMatrix(_assemble(mesh, k, lam, gamma0, gamma1, alpha * alpha))
 
 
 def assemble_load(mesh: HexMesh, f, q_f: int = 4) -> np.ndarray:

@@ -189,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_timings(outdir / "timings.csv", results)
     _write_manifest(outdir, cfg, args.argv, {
         "algorithms": sorted(results),
-        "matrix_hash": any_res.matrix_hash,
+        "matrix_hash": results.get("multimodes", any_res).matrix_hash,
         "diagnostics": any_res.diagnostics,
     })
     for name, res in results.items():
@@ -228,12 +228,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for r in all_rows:
             w.writerow([r["N"]] + [repr(r[key]) for key in header[1:]])
     _write_timings(outdir / "timings.csv", results)
-    any_res = next(iter(results.values()))
     _write_manifest(outdir, cfg, args.argv, {
         "command": "compare",
         "N_max": n_max,
         "eps_sweep": eps_list,
-        "matrix_hash": any_res.matrix_hash,
+        "matrix_hash": results["multimodes"].matrix_hash,
     })
     for r in all_rows:
         print(f"N={r['N']} l2_error={r['l2_error']:.6e} "

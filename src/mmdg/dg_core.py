@@ -9,6 +9,11 @@ The interior-penalty face terms J0 (tangential jumps) and J1 (tangential
 curl jumps) are defined once, as the 24x24 face blocks that build the
 penalty part of the IP-DG matrix; the DG norm evaluates them with the
 same blocks.
+
+The uniform mesh of the unit cube is invariant under the three mirrors
+x_a -> 1 - x_a.  mirror_basis gives a basis of the DG space in which
+every operator that commutes with them, such as the IP-DG matrix with
+constant coefficients, splits into 8 independent blocks.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 N_LOCAL = 12
 
@@ -62,6 +68,54 @@ def curl_vectors(h: float) -> np.ndarray:
     """Constant curl of each local basis function on a cell of side h,
     shape (12, 3); the physical gradient carries a 1/h chain-rule factor."""
     return _REF_CURLS / h
+
+
+def mirror_basis(mesh) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Sparse invertible basis Q of the DG space, its columns grouped by
+    mirror sector, and the sector of each column.
+
+    In the cell-centred monomials {1, x-1/2, y-1/2, z-1/2}, the mirror
+    x_a -> 1 - x_a maps cell (i, j, k) to its mirror cell and flips the
+    sign of local dof (c, m) when c = a, and again when m is the monomial
+    in x_a.  Each column of Q is a cell-centred dof, combined with its
+    mirror images so that it is even or odd under each mirror; bit a of
+    its sector is set when it is odd under mirror a.  For a matrix A that
+    commutes with the mirrors, Q^T A Q has no entry between two sectors.
+    On odd L, the combinations of a mid-plane cell that are odd under the
+    mirror that fixes it vanish and are left out, so Q stays square.
+    """
+    L = mesh.L
+    i = np.arange(L)
+    # along one axis, cell i and its mirror L-1-i make one even and one odd
+    # combination, both numbered min(i, L-1-i); sign[p][i] is the weight of
+    # cell i in the one of parity p, 0 where that one vanishes
+    col = np.minimum(i, L - 1 - i)
+    sign = (np.ones(L), np.sign(L - 1 - 2 * i))
+    ncol = ((L + 1) // 2, L // 2)
+    comp, mono = np.divmod(np.arange(N_LOCAL), 4)
+    rows, cols, vals, sector = [], [], [], []
+    for s in range(8):
+        for loc in range(N_LOCAL):
+            p0, p1, p2 = ((s >> a & 1) ^ (comp[loc] == a) ^ (mono[loc] == a + 1)
+                          for a in range(3))
+            v = np.multiply.outer(np.multiply.outer(sign[p0], sign[p1]),
+                                  sign[p2]).ravel()
+            c = np.add.outer(np.add.outer(col * ncol[p1], col) * ncol[p2],
+                             col).ravel()
+            cells = np.flatnonzero(v)
+            rows.append(N_LOCAL * cells + loc)
+            cols.append(len(sector) + c[cells])
+            vals.append(v[cells])
+            sector += [s] * (ncol[p0] * ncol[p1] * ncol[p2])
+    n = N_LOCAL * mesh.n_cells
+    signed_perm = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    # local dof (c, m>0) of the centred basis is e_c (x_m - 1/2)
+    centre = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
+                                                           [0, 1, 1, 1]))
+    Q = sp.kron(sp.identity(mesh.n_cells), centre, format="csr") @ signed_perm
+    return Q.tocsc(), np.array(sector)
 
 
 def gauss01(q: int):

@@ -101,7 +101,8 @@ class MCResult:
     @cached_property
     def matrix_hash(self) -> str:
         """Content hash of this run's deterministic matrix A_h, for the
-        manifest; A_h is assembled on the first read."""
+        manifest.  run_multimodes sets it from the A_h it factored; for a
+        run_standard result, A_h is assembled on the first read."""
         cfg = self.config
         return assemble_a_h(self.psi.mesh, cfg.k, cfg.lam, cfg.gamma0,
                             cfg.gamma1).content_hash()
@@ -305,6 +306,7 @@ def run_multimodes(config: RunConfig) -> MCResult:
                        solve_block)
     res.timings.update(assembly_s=t_assembly, factorization_s=t_factor)
     res.factorizations = 1
+    res.matrix_hash = A.content_hash()   # so that no reader assembles A_h again
     return res
 
 

@@ -105,6 +105,31 @@ def test_compare_eps_sweep_runs_multimodes_once(tmp_path, monkeypatch):
                                         PRESET_EPS_SWEEP}
 
 
+@pytest.mark.parametrize("command", [["compare"], ["run", "--algorithm", "both"]],
+                         ids=["compare", "run-both"])
+def test_manifest_hash_reuses_the_runs_a_h(tmp_path, monkeypatch, command):
+    from mmdg import driver
+    from mmdg.assembly import assemble_a_h
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return assemble_a_h(*args)
+
+    monkeypatch.setattr(driver, "assemble_a_h", counting)
+    out = tmp_path / "out"
+    rc = run_cli([*command, "--L", 3, "--samples", 2, "--modes", 1,
+                  "--k", 3, "--out", out])
+    assert rc == 0
+    assert len(calls) == 1           # the multimodes run's own A_h
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = RunConfig(k=3.0)
+    assert manifest["matrix_hash"] == assemble_a_h(
+        build_uniform_mesh(3), cfg.k, cfg.lam, cfg.gamma0, cfg.gamma1
+    ).content_hash()
+
+
 def test_golden_csv_headers(tmp_path):
     # schema stability: pinned headers
     assert ERRORS_HEADER == ["N", "l2_error", "dg_error", "eps_pow_N",

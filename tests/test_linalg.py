@@ -1,11 +1,14 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mmdg import linalg
-from mmdg.assembly import assemble_a_h
+from mmdg.assembly import assemble_a_h, assemble_standard
+from mmdg.dg_core import mirror_basis
 from mmdg.mesh import build_uniform_mesh
 
 
@@ -36,15 +39,22 @@ def test_maxwell_matrix_vs_dense_oracle():
 
 
 def test_lu_reconstruction_residual():
+    # the factor is that of B = Q^T A_h Q in the mirror basis, with its
+    # cross-sector round-off dropped
     mesh = build_uniform_mesh(2)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     lu = fact.lu
     n = fact.n
+    Q, sector = mirror_basis(mesh)
+    B = (Q.T @ A.matrix @ Q).toarray()
+    same = sector[:, None] == sector[None, :]
+    kept = np.where(same, B, 0.0)
+    assert np.abs(B[~same]).max() <= 1e-14 * np.abs(B).max()
     Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
     Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
     recon = (Pr.T @ (lu.L @ lu.U) @ Pc.T).toarray()
-    rel = np.abs(recon - A.matrix.toarray()).max() / np.abs(A.matrix.toarray()).max()
+    rel = np.abs(recon - kept).max() / np.abs(kept).max()
     assert rel <= 1e-10
 
 
@@ -127,16 +137,16 @@ def test_reuse_beats_refactorization():
 
 
 def test_block_solve_matches_column_solves():
-    mesh = build_uniform_mesh(3)
-    fact = linalg.factorize(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1))
     rng = np.random.default_rng(5)
     B = 5
-    b = rng.normal(size=(fact.n, B)) + 1j * rng.normal(size=(fact.n, B))
-    x = linalg.solve(fact, b)
-    assert x.shape == (fact.n, B)
-    for col in range(B):
-        ref = linalg.solve(fact, b[:, col])
-        assert np.linalg.norm(x[:, col] - ref) <= 1e-12 * np.linalg.norm(ref)
+    for L in (3, 4):
+        mesh = build_uniform_mesh(L)
+        fact = linalg.factorize(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1))
+        b = rng.normal(size=(fact.n, B)) + 1j * rng.normal(size=(fact.n, B))
+        x = linalg.solve(fact, b)
+        assert x.shape == (fact.n, B)
+        for col in range(B):
+            assert np.array_equal(x[:, col], linalg.solve(fact, b[:, col]))
 
 
 def test_block_solve_shape_mismatch():
@@ -148,9 +158,41 @@ def test_block_solve_shape_mismatch():
 
 
 def test_ordering_keeps_fill_low():
-    # minimum degree on A + A^T fills A_h 6.3x at L=4; COLAMD filled it
-    # 10.2x, so a silent return to an unsymmetric ordering fails here
+    # the mirror-block factor fills A_h 1.34x at L=4; the coupled factor
+    # filled it 6.3x with minimum degree on A + A^T and 10.2x with COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     nnz_lu = fact.lu.L.nnz + fact.lu.U.nnz
     assert nnz_lu / A.matrix.nnz < 8.0
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_mirror_blocks_cut_the_fill(L):
+    # factoring the 8 mirror sectors apart fills ~0.22x (L=4) and ~0.24x
+    # (L=6) of the coupled factor, so a silent return to the coupled
+    # factor fails here without any timing
+    A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+    fact = linalg.factorize(A)
+    coupled = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A")
+    assert fact.nnz == A.matrix.nnz
+    assert (fact.lu.L.nnz + fact.lu.U.nnz
+            < 0.4 * (coupled.L.nnz + coupled.U.nnz))
+
+
+def test_mirror_factor_refuses_an_asymmetric_matrix():
+    mesh = build_uniform_mesh(3)
+    alpha = 1.0 + 0.1 * np.random.default_rng(6).uniform(-1, 1, mesh.n_cells)
+    A = assemble_standard(mesh, 2.0, 1.0, 10.0, 0.1, alpha)
+    linalg.factorize(A)                       # unmarked: the coupled factor
+    with pytest.raises(ValueError, match="not mirror-invariant"):
+        linalg.factorize(dataclasses.replace(A, mirror_mesh=mesh))
+
+
+def test_mirror_solve_matches_coupled_solve():
+    A = assemble_a_h(build_uniform_mesh(6), 2.0, 1.0, 10.0, 0.1)
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(A.n, 3)) + 1j * rng.normal(size=(A.n, 3))
+    x = linalg.solve(linalg.factorize(A), b)
+    ref = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
