@@ -14,6 +14,9 @@ gives for the monomials (1, t_0, t_1, t_2) of component c
 so a cell costs q exponentials per axis instead of q^3 per component
 (sum factorization of a tensor-product rule).
 
+The mode source's reference monomial mass matrix is real, so it is one
+broadcast matmul on the float64 view of the complex coefficients.
+
 Both kernels take one sample, or a block of B samples along a trailing
 axis.
 """
@@ -64,6 +67,7 @@ def mode_source(prev, prev2, eta, k, h):
     k2 = k * k
     eta = eta[:, None]
     w = (2.0 * k2 * eta) * prev + (k2 * eta * eta) * prev2
-    w = w.reshape(len(eta), 3, 4, *prev.shape[2:])
-    b = (h ** 3) * np.einsum("am,ncm...->nca...", REF_MONOMIAL_MASS, w)
-    return b.reshape(prev.shape)
+    # (nc, 3, 4, 2B) float64 view; one sample is a block of width 1
+    w = np.ascontiguousarray(w.reshape(len(eta), 3, 4, -1)).view(np.float64)
+    b = (h ** 3) * np.matmul(REF_MONOMIAL_MASS, w)
+    return b.view(np.complex128).reshape(prev.shape)

@@ -13,6 +13,9 @@ mirror sectors, so it is 8 independent blocks, each about 1/8 of A.  The
 cross-sector entries of the computed product are round-off (~1e-16 of
 B's largest entry); a matrix whose entries there exceed MIRROR_TOL is
 refused, and the rest are dropped.  A solve is x = Q B^{-1} Q^T b.
+Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
+the (n, 2B) float64 view of a C-contiguous complex block: half the flops
+of a complex product, with bitwise the same result.
 
 Columns are ordered by minimum degree on the structure of B + B^T
 (SuperLU's MMD_AT_PLUS_A), a symmetric ordering for the complex symmetric
@@ -47,7 +50,8 @@ class SingularMatrixError(RuntimeError):
 @dataclass
 class Factorization:
     """Stored sparse LU factors P B Pc = L U of B = Q^T A Q, where Q is
-    the mirror basis of a mirror-invariant A and the identity otherwise."""
+    the mirror basis of a mirror-invariant A (stored as float64) and the
+    identity otherwise."""
 
     lu: "spla.SuperLU"
     n: int
@@ -76,8 +80,7 @@ def factorize(A) -> Factorization:
                 f"largest entry")
         mat = sp.csc_matrix((B.data[same], (B.row[same], B.col[same])),
                             shape=(n, n))
-        Q = Q.astype(np.complex128).tocsr()
-        basis = (Q, Q.T.tocsr())
+        basis = (Q.tocsr(), Q.T.tocsr())
     try:
         lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -99,4 +102,12 @@ def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
     if fact.basis is None:
         return fact.lu.solve(b)
     Q, Qt = fact.basis
-    return Q @ fact.lu.solve(Qt @ b)
+    return _real_times(Q, fact.lu.solve(_real_times(Qt, b)))
+
+
+def _real_times(Q: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Q @ b for a float64 Q and a complex b of shape (n,) or (n, B), as
+    one real product on b's float64 view; a non-C-contiguous b (SuperLU
+    returns Fortran order) is copied first, as a complex product would."""
+    c = np.ascontiguousarray(b if b.ndim == 2 else b[:, None])
+    return (Q @ c.view(np.float64)).view(np.complex128).reshape(b.shape)

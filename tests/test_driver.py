@@ -299,6 +299,72 @@ def test_block_partition_matches_sample_by_sample(M):
         assert np.array_equal(r.psi.coeffs, r3.psi.coeffs)
 
 
+@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("M", [1, 17, 37])
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_last_mode_is_one_solve_of_the_summed_sources(field, M, N,
+                                                      monkeypatch):
+    from mmdg import linalg
+
+    cfg = dataclasses.replace(SMALL, field=field, M=M, N=N)
+    longer = run_multimodes(dataclasses.replace(cfg, N=N + 1))
+    columns = []
+    solve = linalg.solve
+
+    def counting_solve(fact, b):
+        columns.append(b.shape[1] if b.ndim == 2 else 1)
+        return solve(fact, b)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    res = run_multimodes(cfg)
+    blocks = -(-M // SAMPLE_BLOCK)
+    assert len(columns) == (N + 1) * blocks
+    assert sum(columns) == N * M + blocks
+    # modes below N are the B-column solves of the longer run, bit for
+    # bit; mode N is the solve of the summed sources, equal at round-off
+    for n in range(N):
+        assert np.array_equal(res.mode_means[n].coeffs,
+                              longer.mode_means[n].coeffs)
+    last, ref = res.mode_means[N].coeffs, longer.mode_means[N].coeffs
+    assert np.linalg.norm(last - ref) <= 1e-13 * np.linalg.norm(ref)
+    res3 = run_multimodes(dataclasses.replace(cfg, workers=3))
+    assert np.array_equal(res.psi.coeffs, res3.psi.coeffs)
+    for a, b in zip(res.mode_means, res3.mode_means, strict=True):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("entry", ["library", "cli"])
+@pytest.mark.parametrize("N", [1, 3])
+def test_non_finite_last_mode_source_raises(N, entry, monkeypatch, tmp_path):
+    # a NaN in sample 1's mode-N source of the first block: summing the
+    # sources before the one solve cannot hide it
+    from mmdg import driver
+    from mmdg.cli import main
+
+    source = driver.assemble_mode_source
+    calls = []
+
+    def planted(mesh, k, etas, e_prev, e_prev2):
+        b = source(mesh, k, etas, e_prev, e_prev2)
+        calls.append(1)
+        if len(calls) == N:
+            b[5, 1] = np.nan
+        return b
+
+    monkeypatch.setattr(driver, "assemble_mode_source", planted)
+    if entry == "library":
+        with pytest.raises(FloatingPointError,
+                           match=f"non-finite mode {N} in the block of "
+                                 f"samples 0..1"):
+            run_multimodes(dataclasses.replace(SMALL, M=2, N=N))
+    else:
+        rc = main(["run", "--algorithm", "multimodes", "--L", "2",
+                   "--samples", "2", "--modes", str(N),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 3
+    assert len(calls) == N
+
+
 @pytest.mark.parametrize("run, where", [
     (run_multimodes, "mode 0 in the block of samples 0..1"),
     (run_standard, "sample 0"),

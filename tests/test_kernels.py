@@ -85,3 +85,21 @@ def test_mode_source_block_matches_columns():
         col = _oracle_mode_source(prev[:, :, s], prev2[:, :, s], eta[:, s],
                                   2.0, 1 / 3)
         assert np.allclose(block[:, :, s], col, rtol=0, atol=1e-13)
+
+
+def test_mode_source_block_layout_does_not_matter():
+    # the matmul runs on a float64 view, which needs C order; Fortran-
+    # ordered (n_dof, B) blocks, as SuperLU returns, must give the same bits
+    rng = np.random.default_rng(3)
+    nc, B = 27, 5
+    prev = _complex_normal(rng, (nc, 12, B))
+    prev2 = _complex_normal(rng, (nc, 12, B))
+    eta = rng.uniform(-1, 1, (nc, B))
+
+    def fortran(a):
+        return np.asfortranarray(a.reshape(-1, B)).reshape(a.shape)
+
+    args = [fortran(a) for a in (prev, prev2, eta)]
+    assert not any(a.flags.c_contiguous for a in args)
+    assert np.array_equal(kernels.mode_source(*args, 2.0, 1 / 3),
+                          kernels.mode_source(prev, prev2, eta, 2.0, 1 / 3))

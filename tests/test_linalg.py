@@ -196,3 +196,24 @@ def test_mirror_solve_matches_coupled_solve():
     ref = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
+                                    "real"])
+def test_mirror_solve_is_q_lu_qt_bitwise(layout):
+    # Q is applied as a real matrix to the float64 view of b; that must
+    # give the same bits as the complex products, whatever b's layout
+    fact = linalg.factorize(assemble_a_h(build_uniform_mesh(4), 2.0, 1.0,
+                                         10.0, 0.1))
+    Q, Qt = fact.basis
+    assert Q.dtype == Qt.dtype == np.float64
+    rng = np.random.default_rng(8)
+    full = (rng.normal(size=(fact.n, 6))
+            + 1j * rng.normal(size=(fact.n, 6)))
+    b = {"1-D": full[:, 2].copy(), "C": full,
+         "Fortran": np.asfortranarray(full), "strided": full[:, ::2],
+         "real": full.real.copy()}[layout]
+    x = linalg.solve(fact, b)
+    ref = Q.astype(complex) @ fact.lu.solve(Q.T.astype(complex) @ b)
+    assert x.shape == b.shape
+    assert np.array_equal(x, ref)
