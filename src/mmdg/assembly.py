@@ -17,6 +17,21 @@ block sparse matrix of A^T in block-column order of A, so one BSR-to-CSR
 conversion yields A's CSC arrays; the stored zeros of the dense blocks
 are then dropped.  Only A is stored: S and P are its real part and minus
 its imaginary part.
+
+The oscillatory load is sum-factorized.  The source component
+f_c(x) = exp(i k (1+xi) x_c) depends on x_c alone, and the cell rule is a
+q-point tensor Gauss rule in local coordinates t with weights w_t summing
+to 1.  With e_c(t) = exp(i k (1+xi) (lower_c + h t)),
+S0_c = sum_t w_t e_c(t) and S1_c = sum_t w_t t e_c(t), the tensor rule
+gives for the monomials (1, t_0, t_1, t_2) of component c
+
+    b[4c+0]   = h^3 S0_c
+    b[4c+1+c] = h^3 S1_c
+    b[4c+1+d] = h^3 S0_c sum_t w_t t      (d != c),
+
+so a cell costs q exponentials per axis instead of q^3 per component.
+The mode source's reference monomial mass matrix is real, so the source
+is one broadcast matmul on the float64 view of the complex coefficients.
 """
 
 from __future__ import annotations
@@ -27,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import kernels
 from .dg_core import (
+    REF_MONOMIAL_MASS,
     DGField,
     _boundary_tangential_block,
     _interior_face_blocks,
@@ -186,10 +201,20 @@ def assemble_oscillatory_load(mesh: HexMesh, xi_values: np.ndarray, k: float,
     xi = np.asarray(xi_values, dtype=float)
     if xi.shape[:1] != (mesh.n_cells,) or xi.ndim > 2:
         raise ValueError("xi sample must have one value per cell")
+    nc, block, h = mesh.n_cells, xi.shape[1:], mesh.h
     t, w = gauss01(q_f)
-    lowers = mesh.cell_lower(np.arange(mesh.n_cells))
-    b = kernels.oscillatory_load(lowers, mesh.h, xi, k, t, w)
-    return b.reshape(12 * mesh.n_cells, *xi.shape[1:])
+    lowers = mesh.cell_lower(np.arange(nc))
+    x = (lowers[:, :, None] + h * t).reshape(nc, 3, q_f, *(1,) * len(block))
+    kk = (k * (1.0 + xi)).reshape(nc, 1, 1, *block)
+    e = np.exp(1j * kk * x)                                  # (nc, 3, q, *B)
+    s0 = np.einsum("q,ncq...->nc...", w, e)                  # (nc, 3, *B)
+    s1 = np.einsum("q,ncq...->nc...", w * t, e)
+    b = np.empty((nc, 3, 4, *block), dtype=np.complex128)
+    b[:, :, 0] = s0
+    b[:, :, 1:] = (s0 * np.dot(w, t))[:, :, None]
+    axes = np.arange(3)
+    b[:, axes, 1 + axes] = s1
+    return (h ** 3) * b.reshape(12 * nc, *block)
 
 
 def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
@@ -208,8 +233,12 @@ def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
         raise ValueError("eta sample must have one value per cell")
     block = eta.shape[1:]
     prev, prev2 = (_mode_coeffs(mesh, e, block) for e in (e_prev, e_prev2))
-    b = kernels.mode_source(prev, prev2, eta, k, mesh.h)
-    return b.reshape(12 * mesh.n_cells, *block)
+    k2, eta = k * k, eta[:, None]
+    w = (2.0 * k2 * eta) * prev + (k2 * eta * eta) * prev2
+    # (nc, 3, 4, 2B) float64 view; one sample is a block of width 1
+    w = np.ascontiguousarray(w.reshape(mesh.n_cells, 3, 4, -1)).view(np.float64)
+    b = (mesh.h ** 3) * np.matmul(REF_MONOMIAL_MASS, w)
+    return b.view(np.complex128).reshape(12 * mesh.n_cells, *block)
 
 
 def _mode_coeffs(mesh: HexMesh, e, block: tuple) -> np.ndarray:

@@ -132,33 +132,29 @@ def _write_manifest(outdir: Path, config: RunConfig, argv: list[str],
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_field(path: Path, values: np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["cell", "value"])
-        for i, v in enumerate(values):
-            w.writerow([i, repr(float(v))])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _write_solution(path: Path, psi) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dof", "real", "imag"])
-        for i, v in enumerate(psi.coeffs):
-            w.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    _write_csv(path, ["dof", "real", "imag"],
+               ([i, repr(float(v.real)), repr(float(v.imag))]
+                for i, v in enumerate(psi.coeffs)))
 
 
 def _write_timings(path: Path, named_results: dict[str, MCResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "stage", "seconds"])
-        for name, res in named_results.items():
-            for stage, val in res.timings.items():
-                if stage == "per_mode_s":
-                    for n, t in enumerate(val):
-                        w.writerow([name, f"mode_{n}_s", repr(t)])
-                else:
-                    w.writerow([name, stage, repr(val)])
+    rows = []
+    for name, res in named_results.items():
+        for stage, val in res.timings.items():
+            if stage == "per_mode_s":
+                rows += [[name, f"mode_{n}_s", repr(t)]
+                         for n, t in enumerate(val)]
+            else:
+                rows.append([name, stage, repr(val)])
+    _write_csv(path, ["algorithm", "stage", "seconds"], rows)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -182,9 +178,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # dump the first sample's field draws for inspection
     any_res = next(iter(results.values()))
-    eta0, xi0 = _FieldDraws(any_res.psi.mesh, cfg).draw(0)
-    _write_field(outdir / "fields" / "eta_sample0.csv", eta0.values)
-    _write_field(outdir / "fields" / "xi_sample0.csv", xi0.values)
+    for name, sample in zip(("eta", "xi"),
+                            _FieldDraws(any_res.psi.mesh, cfg).draw(0)):
+        _write_csv(outdir / "fields" / f"{name}_sample0.csv", ["cell", "value"],
+                   ([i, repr(float(v))] for i, v in enumerate(sample.values)))
 
     _write_timings(outdir / "timings.csv", results)
     _write_manifest(outdir, cfg, args.argv, {
@@ -222,11 +219,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         all_rows.extend(rows)
 
     header = ERRORS_HEADER + (["epsilon"] if len(eps_list) > 1 else [])
-    with open(outdir / "errors.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in all_rows:
-            w.writerow([r["N"]] + [repr(r[key]) for key in header[1:]])
+    _write_csv(outdir / "errors.csv", header,
+               ([r["N"]] + [repr(r[key]) for key in header[1:]]
+                for r in all_rows))
     _write_timings(outdir / "timings.csv", results)
     _write_manifest(outdir, cfg, args.argv, {
         "command": "compare",
@@ -250,19 +245,13 @@ def cmd_kl_info(args: argparse.Namespace) -> int:
     cum = np.cumsum(lam) / total
     k99 = int(np.searchsorted(cum, 0.99) + 1)
 
-    def _emit(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue", "energy_fraction",
-                         "cumulative_energy"])
-        for i, lv in enumerate(lam):
-            writer.writerow([i + 1, repr(float(lv)), repr(float(lv / total)),
-                             repr(float(cum[i]))])
-
+    header = ["index", "eigenvalue", "energy_fraction", "cumulative_energy"]
+    rows = [[i + 1, repr(float(lv)), repr(float(lv / total)), repr(float(cum[i]))]
+            for i, lv in enumerate(lam)]
     if args.out is None:
-        _emit(sys.stdout)
+        csv.writer(sys.stdout).writerows([header, *rows])
     else:
-        with open(args.out, "w", newline="") as fh:
-            _emit(fh)
+        _write_csv(args.out, header, rows)
     print(f"# trace = {total:.12g}, suggested K for 99% energy: {k99}",
           file=sys.stderr)
     return 0

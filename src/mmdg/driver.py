@@ -8,15 +8,17 @@ draws and results are independent of execution order and worker count.
 Both algorithms run one block loop: the samples are cut into fixed
 consecutive blocks (SAMPLE_BLOCK samples for the multi-modes algorithm,
 one for the reference), each block's per-mode sums are formed first, and
-the block sums are added in block order.  In the multi-modes recursion
-each mode of a block is one B-column triangular solve, except mode N: it
-feeds no later mode, so its block sum is one solve of the summed sources.
+the block sums are added in block order.  The mean psi is
+sum_n eps^n phi_n over the per-mode means phi_n, by the one combination
+rule that truncations and error rows use too.  In the multi-modes
+recursion each mode of a block is one B-column triangular solve, except
+mode N: it feeds no later mode, so its block sum is one solve of the
+summed sources.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -30,7 +32,7 @@ from .assembly import (
     assemble_oscillatory_load,
     assemble_standard,
 )
-from .dg_core import DGField, dg_norm, l2_norm
+from .dg_core import REF_MONOMIAL_MASS, DGField, dg_norm, l2_norm
 from .mesh import HexMesh, build_uniform_mesh
 from .random_field import (CovarianceSpec, FieldSample, GaussianSampler,
                            lipschitz_surrogate, sample_uniform)
@@ -143,20 +145,14 @@ class _FieldDraws:
 def _ordered_results(fn, n: int, workers: int):
     """Run fn(i) for i = 0..n-1, one call per block of samples, yielding
     results in block order.  With workers > 1 the calls run on a thread
-    pool; the ordered yield keeps the reduction deterministic."""
+    pool; the ordered yield keeps the reduction deterministic, and the
+    blocks not yet started are cancelled once a block raises or the
+    consumer stops."""
     if workers <= 1:
-        for i in range(n):
-            yield fn(i)
+        yield from map(fn, range(n))
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        pending = deque()
-        nxt = 0
-        window = 4 * workers
-        while pending or nxt < n:
-            while nxt < n and len(pending) < window:
-                pending.append(ex.submit(fn, nxt))
-                nxt += 1
-            yield pending.popleft().result()
+        yield from ex.map(fn, range(n))
 
 
 def diagnostics(config: RunConfig, mu_hat: float = 1.0) -> dict:
@@ -183,8 +179,9 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     solve_block(etas, xis), which returns the block's (n_modes, n_dof)
     per-mode sums and the seconds spent per mode.  The block's field draws
     and the eta block's sup norm and Lipschitz surrogate are charged to
-    mode 0.  The sums are reduced in block order; psi is their
-    eps^n-weighted mean.  The caller sets the factorization count."""
+    mode 0.  The sums are reduced in block order; psi is the
+    eps^n-weighted sum of their means.  The caller sets the factorization
+    count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -224,13 +221,13 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
         stats.append(st)
     t_end = time.perf_counter()
 
-    eps_pow = config.epsilon ** np.arange(n_modes)
+    mode_means = [DGField(mesh, mode_acc[n] / config.M)
+                  for n in range(n_modes)]
     fstats = {"sup_norm_max": max(s for s, _ in stats),
               "mu_hat_max": max(m for _, m in stats)}
     return MCResult(
-        psi=DGField(mesh, eps_pow @ mode_acc / config.M),
-        mode_means=[DGField(mesh, mode_acc[n] / config.M)
-                    for n in range(n_modes)],
+        psi=DGField(mesh, _mode_sum(mode_means, config.epsilon, n_modes - 1)),
+        mode_means=mode_means,
         timings={
             "total_s": t_end - t_start,
             "samples_s": t_end - t_samples,
@@ -377,5 +374,4 @@ def component_integral(psi: DGField, component: int = 0) -> complex:
     """Integral of one Cartesian component of the field over D; a simple
     linear functional used for Monte Carlo rate checks."""
     c = psi.cellwise().reshape(-1, 3, 4)[:, component, :]
-    moments = np.array([1.0, 0.5, 0.5, 0.5])
-    return complex(psi.mesh.cell_volume * np.sum(c @ moments))
+    return complex(psi.mesh.cell_volume * np.sum(c @ REF_MONOMIAL_MASS[0]))

@@ -84,6 +84,16 @@ def test_psi_is_eps_weighted_mode_sum():
     assert np.linalg.norm(acc - r.psi.coeffs) <= 1e-12 * np.linalg.norm(acc)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("M", [1, 17, 37])
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_psi_is_the_truncation_at_N(field, M, workers):
+    # psi and truncate_modes share one combination rule, bit for bit
+    cfg = dataclasses.replace(SMALL, field=field, M=M, workers=workers)
+    r = run_multimodes(cfg)
+    assert np.array_equal(truncate_modes(r, cfg.N).coeffs, r.psi.coeffs)
+
+
 def test_mode_series_converges_to_standard_per_sample():
     cfg = RunConfig(L=3, M=1, N=6, epsilon=0.1, seed=3)
     rs = run_standard(cfg)
@@ -399,6 +409,32 @@ def test_factorization_counts_seen_from_outside(workers, monkeypatch):
     calls.clear()
     res = run_standard(cfg)
     assert len(calls) == cfg.M and res.factorizations == cfg.M
+
+
+def test_raising_block_stops_a_parallel_run(monkeypatch):
+    # sample 0 raises at once while every other block's first draw is
+    # slow: the error surfaces unchanged and the blocks not yet started
+    # are cancelled, not run
+    from mmdg import driver
+
+    failure = RuntimeError("draw failed")
+    block_starts = []
+    draw = driver._FieldDraws.draw
+
+    def failing_draw(self, j):
+        if j % SAMPLE_BLOCK == 0:
+            block_starts.append(j)
+            if j == 0:
+                raise failure
+            time.sleep(0.05)
+        return draw(self, j)
+
+    monkeypatch.setattr(driver._FieldDraws, "draw", failing_draw)
+    cfg = dataclasses.replace(SMALL, M=40 * SAMPLE_BLOCK, N=1, workers=3)
+    with pytest.raises(RuntimeError) as exc:
+        run_multimodes(cfg)
+    assert exc.value is failure
+    assert len(block_starts) < 40
 
 
 def test_concurrent_runs_do_not_interfere():
