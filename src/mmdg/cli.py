@@ -184,14 +184,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                    ([i, repr(float(v))] for i, v in enumerate(sample.values)))
 
     _write_timings(outdir / "timings.csv", results)
+    main_res = results.get("multimodes", any_res)
     _write_manifest(outdir, cfg, args.argv, {
         "algorithms": sorted(results),
-        "matrix_hash": results.get("multimodes", any_res).matrix_hash,
-        "diagnostics": any_res.diagnostics,
+        "matrix_hash": main_res.matrix_hash,
+        "diagnostics": main_res.diagnostics,
     })
     for name, res in results.items():
+        c = res.diagnostics["even_contraction"]
         print(f"{name}: factorizations={res.factorizations} "
-              f"total={res.timings['total_s']:.3f}s")
+              f"total={res.timings['total_s']:.3f}s"
+              + (f" max_even_contraction={max(c):.3g}" if c else ""))
     return 0
 
 
@@ -228,6 +231,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "N_max": n_max,
         "eps_sweep": eps_list,
         "matrix_hash": results["multimodes"].matrix_hash,
+        "diagnostics": results["multimodes"].diagnostics,
     })
     for r in all_rows:
         print(f"N={r['N']} l2_error={r['l2_error']:.6e} "

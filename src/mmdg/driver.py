@@ -1,6 +1,6 @@
 """Monte Carlo drivers: the per-sample-factorization algorithm, the
 accelerated single-factorization multi-modes algorithm, common-random-
-numbers comparisons, and convergence diagnostics.
+numbers comparisons, and the measured health of a run's mode series.
 
 Per-sample randomness is drawn from counter-based streams keyed by
 (master seed, sample index, purpose), so the two algorithms see identical
@@ -35,7 +35,7 @@ from .assembly import (
 from .dg_core import REF_MONOMIAL_MASS, DGField, dg_norm, l2_norm
 from .mesh import HexMesh, build_uniform_mesh
 from .random_field import (CovarianceSpec, FieldSample, GaussianSampler,
-                           lipschitz_surrogate, sample_uniform)
+                           sample_uniform)
 
 FIELD_KINDS = ("gaussian", "uniform")
 
@@ -61,7 +61,8 @@ class RunConfig:
     clamp: bool = False
     q_f: int = 4                   # load quadrature order per axis
     seed: int = 0
-    mu_user: float | None = None   # mu for diagnostics; None = measured
+    # read by nothing; kept, and validated, so callers that set it still run
+    mu_user: float | None = None
     workers: int = 1
 
     def validate(self) -> None:
@@ -155,19 +156,16 @@ def _ordered_results(fn, n: int, workers: int):
         yield from ex.map(fn, range(n))
 
 
-def diagnostics(config: RunConfig, mu_hat: float = 1.0) -> dict:
-    """Convergence-theory products sigma, sigma_hat, sigma_tilde, with the
-    unknown analysis constants C0 and Chat0 set to 1 and mu = config.mu_user,
-    or the measured mu_hat when that is unset.  Informational only: theory
-    guarantees geometric convergence of the mode series when they are
-    below 1, but a run proceeds whatever their values."""
-    mu = config.mu_user if config.mu_user is not None else mu_hat
-    eps, k = config.epsilon, config.k
-    sigma = 7.0 * eps * (1.0 + k) * (1.0 + mu)
-    sigma_hat = 14.0 * (1.0 + k) * (1.0 + mu) * eps
-    sigma_tilde = 4.0 * (1.0 + k) * eps
-    return {"sigma": sigma, "sigma_hat": sigma_hat, "sigma_tilde": sigma_tilde,
-            "mu": mu}
+def _health(mode_means: list[DGField], eps: float) -> dict:
+    """Mode-mean L2 norms and the even-mode contraction eps^2 ||phi_n|| /
+    ||phi_{n-2}||, n = 2, 4, ... (0 over a zero norm): phi_n is of degree n
+    in eta, so for a symmetric field the odd-mode means vanish in
+    expectation and a one-step ratio would alternate."""
+    norms = [l2_norm(phi) for phi in mode_means]
+    return {"mode_l2_norms": norms,
+            "even_contraction": [eps ** 2 * norms[n] / norms[n - 2]
+                                 if norms[n - 2] else 0.0
+                                 for n in range(2, len(norms), 2)]}
 
 
 def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
@@ -178,10 +176,10 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     each block's fields into (n_cells, B) arrays and calls
     solve_block(etas, xis), which returns the block's (n_modes, n_dof)
     per-mode sums and the seconds spent per mode.  The block's field draws
-    and the eta block's sup norm and Lipschitz surrogate are charged to
-    mode 0.  The sums are reduced in block order; psi is the
-    eps^n-weighted sum of their means.  The caller sets the factorization
-    count."""
+    and the eta block's sup norm are charged to mode 0.  The sums are
+    reduced in block order; psi is the eps^n-weighted sum of their means,
+    and the diagnostics are _health of the means.  The caller sets the
+    factorization count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -197,16 +195,16 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             eta, xi = draws.draw(j)
             etas[:, col] = eta.values
             xis[:, col] = xi.values
-        stats = (float(np.abs(etas).max()), lipschitz_surrogate(mesh, etas))
+        sup = float(np.abs(etas).max())
         t_draws = time.perf_counter() - t0
         mode_sums, mode_times = solve_block(etas, xis)
         mode_times[0] += t_draws
-        return block, stats, mode_sums, mode_times
+        return block, sup, mode_sums, mode_times
 
     mode_acc = np.zeros((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
     per_mode_s = np.zeros(n_modes)
-    stats = []
-    for block, st, mode_sums, mode_times in _ordered_results(
+    sup_norm_max = 0.0
+    for block, sup, mode_sums, mode_times in _ordered_results(
         one_block, len(blocks), config.workers
     ):
         finite = np.isfinite(mode_sums).all(axis=1)
@@ -218,13 +216,11 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             )
         mode_acc += mode_sums
         per_mode_s += mode_times
-        stats.append(st)
+        sup_norm_max = max(sup_norm_max, sup)
     t_end = time.perf_counter()
 
     mode_means = [DGField(mesh, mode_acc[n] / config.M)
                   for n in range(n_modes)]
-    fstats = {"sup_norm_max": max(s for s, _ in stats),
-              "mu_hat_max": max(m for _, m in stats)}
     return MCResult(
         psi=DGField(mesh, _mode_sum(mode_means, config.epsilon, n_modes - 1)),
         mode_means=mode_means,
@@ -234,8 +230,8 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             "setup_s": t_samples - t_start,
             "per_mode_s": per_mode_s.tolist(),
         },
-        diagnostics=diagnostics(config, fstats["mu_hat_max"]),
-        field_stats=fstats,
+        diagnostics=_health(mode_means, config.epsilon),
+        field_stats={"sup_norm_max": sup_norm_max},
         factorizations=0,
         config=config,
     )

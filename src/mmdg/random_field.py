@@ -6,8 +6,7 @@ values on [-1, 1], and a truncated discrete Karhunen-Loeve expansion for
 recasting general media into mean-plus-small-perturbation form.  All
 samplers take an explicit numpy Generator so that parallel sampling stays
 reproducible, and return a FieldSample that holds only the per-cell
-values.  lipschitz_surrogate measures a field or a block of fields; the
-drivers call it once per block of samples.
+values.
 """
 
 from __future__ import annotations
@@ -36,15 +35,6 @@ class FieldSample:
     """One realization of a per-cell constant random field."""
 
     values: np.ndarray
-
-
-def lipschitz_surrogate(mesh: HexMesh, values: np.ndarray) -> float:
-    """Max |value difference| / center distance over face-adjacent cells,
-    of one field (n_cells,) or of a block of fields (n_cells, B)."""
-    if mesh.n_interior_faces == 0:
-        return 0.0
-    diff = np.abs(values[mesh.iface_owner] - values[mesh.iface_neighbor])
-    return float(diff.max() / mesh.h)
 
 
 def covariance_matrix(mesh: HexMesh, spec: CovarianceSpec) -> np.ndarray:

@@ -130,6 +130,28 @@ def test_manifest_hash_reuses_the_runs_a_h(tmp_path, monkeypatch, command):
     ).content_hash()
 
 
+def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
+    def no_constant(name):
+        raise ValueError(f"manifest holds {name}")
+
+    diagnostics = {}
+    for command in (["run", "--algorithm", "both"], ["compare"]):
+        out = tmp_path / command[0]
+        assert run_cli([*command, "--L", 2, "--samples", 3, "--modes", 4,
+                        "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=no_constant)
+        diagnostics[command[0]] = manifest["diagnostics"]
+    # both commands record the multi-modes run's norms and contraction
+    assert diagnostics["run"] == diagnostics["compare"]
+    assert set(diagnostics["run"]) == {"mode_l2_norms", "even_contraction"}
+    assert len(diagnostics["run"]["mode_l2_norms"]) == 5
+    contraction = diagnostics["run"]["even_contraction"]
+    assert len(contraction) == 2
+    printed = capsys.readouterr().out
+    assert f"max_even_contraction={max(contraction):.3g}" in printed
+
+
 def test_golden_csv_headers(tmp_path):
     # schema stability: pinned headers
     assert ERRORS_HEADER == ["N", "l2_error", "dg_error", "eps_pow_N",

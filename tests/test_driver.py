@@ -13,14 +13,13 @@ from mmdg.driver import (
     RunConfig,
     compare_algorithms,
     component_integral,
-    diagnostics,
     run_multimodes,
     run_standard,
     sample_stream,
     truncate_modes,
 )
 from mmdg.mesh import build_uniform_mesh
-from mmdg.random_field import lipschitz_surrogate
+from mmdg.random_field import FieldSample
 
 SMALL = RunConfig(L=2, M=3, N=3, epsilon=0.1, seed=11)
 
@@ -175,28 +174,6 @@ def test_compare_eps_zero_rows_vanish():
         assert r["l2_error"] <= 1e-10
 
 
-def test_diagnostics_formulas():
-    cfg = dataclasses.replace(SMALL, epsilon=0.1, k=2.0, mu_user=1.0)
-    d = diagnostics(cfg)
-    assert d["sigma"] == pytest.approx(7 * 0.1 * 1 * 3 * 2)
-    assert d["sigma_hat"] == pytest.approx(14 * 1 * 1 * 3 * 2 * 0.1)
-    assert d["sigma_tilde"] == pytest.approx(4 * 1 * 3 * 0.1)
-    z = diagnostics(dataclasses.replace(cfg, epsilon=0.0))
-    assert z["sigma"] == z["sigma_hat"] == z["sigma_tilde"] == 0.0
-
-
-def test_diagnostics_mu_is_mu_user_when_set():
-    cfg = dataclasses.replace(SMALL, mu_user=0.25)
-    assert diagnostics(cfg, 7.0)["mu"] == 0.25
-    unset = dataclasses.replace(cfg, mu_user=None)
-    assert diagnostics(unset, 7.0)["mu"] == 7.0
-    assert diagnostics(unset)["mu"] == 1.0
-    for run in (run_multimodes, run_standard):
-        res = run(dataclasses.replace(cfg, M=2, N=1))
-        assert res.diagnostics == diagnostics(cfg)
-        assert res.field_stats["mu_hat_max"] != 0.25
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("M", [1, 17, 37])
 @pytest.mark.parametrize("field", FIELD_KINDS)
@@ -204,26 +181,26 @@ def test_field_stats_are_maxima_over_the_eta_draws(field, M, workers):
     from mmdg.driver import _FieldDraws
 
     cfg = dataclasses.replace(SMALL, field=field, M=M, N=1, workers=workers)
-    mesh = build_uniform_mesh(cfg.L)
-    draws = _FieldDraws(mesh, cfg)
-    etas = [draws.draw(j)[0].values for j in range(M)]
-    expected = {"sup_norm_max": max(float(np.abs(v).max()) for v in etas),
-                "mu_hat_max": max(lipschitz_surrogate(mesh, v) for v in etas)}
+    draws = _FieldDraws(build_uniform_mesh(cfg.L), cfg)
+    sup = max(float(np.abs(draws.draw(j)[0].values).max()) for j in range(M))
     for run in (run_multimodes, run_standard):
         res = run(cfg)
-        assert res.field_stats == expected      # bitwise: float ==
-        assert res.diagnostics["mu"] == expected["mu_hat_max"]
+        assert res.field_stats == {"sup_norm_max": sup}     # bitwise: float ==
 
 
 def test_large_eps_runs_without_warning():
-    # sigma = 7 * 0.9 * 3 * 2 = 37.8: far above 1, yet only recorded
-    cfg = dataclasses.replace(SMALL, epsilon=0.9, M=1, N=1, mu_user=1.0)
+    # eps = 0.9 at N = 2: the contraction eps^2 ||phi_2|| / ||phi_0|| is
+    # recorded, and no value of it raises a warning
+    cfg = dataclasses.replace(SMALL, epsilon=0.9, M=1, N=2, mu_user=1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         r = run_multimodes(cfg)
     assert not caught
     assert np.all(np.isfinite(r.psi.coeffs))
-    assert r.diagnostics["sigma"] == pytest.approx(37.8)
+    norms = [l2_norm(phi) for phi in r.mode_means]
+    assert r.diagnostics == {
+        "mode_l2_norms": norms,
+        "even_contraction": [cfg.epsilon ** 2 * norms[2] / norms[0]]}
 
 
 def test_default_runs_emit_no_warning():
@@ -231,11 +208,75 @@ def test_default_runs_emit_no_warning():
         warnings.simplefilter("error")
         res_mm = run_multimodes(RunConfig())
         res_std = run_standard(RunConfig(M=2))
-    # the theory products stay informational fields
-    for res in (res_mm, res_std):
-        assert set(res.diagnostics) == {"sigma", "sigma_hat", "sigma_tilde",
-                                        "mu"}
-        assert res.diagnostics["sigma_tilde"] == pytest.approx(1.2)
+    # the health fields are plain data: N + 1 norms and the contraction at
+    # n = 2, 4 for the multi-modes run, one norm and none for the reference
+    assert len(res_mm.diagnostics["mode_l2_norms"]) == RunConfig().N + 1
+    assert len(res_mm.diagnostics["even_contraction"]) == 2
+    assert 0.0 < max(res_mm.diagnostics["even_contraction"]) < 1.0
+    assert res_std.diagnostics == {"mode_l2_norms": [l2_norm(res_std.psi)],
+                                   "even_contraction": []}
+
+
+def _scale_eta(monkeypatch, factor):
+    """Make every run draw factor * eta, with xi unchanged."""
+    from mmdg.driver import _FieldDraws
+
+    draw = _FieldDraws.draw
+
+    def scaled(self, j):
+        eta, xi = draw(self, j)
+        return FieldSample(factor * eta.values), xi
+
+    monkeypatch.setattr(_FieldDraws, "draw", scaled)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_negating_eta_flips_the_odd_modes(field, workers, monkeypatch):
+    # phi_n is homogeneous of degree n in eta: negating every eta draw maps
+    # phi_n to (-1)^n phi_n bit for bit, so odd-mode means of a symmetric
+    # field vanish in expectation
+    cfg = dataclasses.replace(SMALL, field=field, M=37, N=4, workers=workers)
+    plain = run_multimodes(cfg).mode_means
+    _scale_eta(monkeypatch, -1.0)
+    negated = run_multimodes(cfg).mode_means
+    for n, (a, b) in enumerate(zip(plain, negated)):
+        assert np.array_equal((-1) ** n * a.coeffs, b.coeffs)
+
+
+GATE = RunConfig(L=4, N=6)
+
+
+def test_contraction_below_one_for_the_clamped_large_eps_case():
+    # the series converges here (acceptance criterion 2)
+    cfg = dataclasses.replace(GATE, M=64, epsilon=0.9, clamp=True)
+    contraction = run_multimodes(cfg).diagnostics["even_contraction"]
+    assert len(contraction) == 3 and max(contraction) < 1.0
+
+
+def test_contraction_above_one_for_a_divergent_series():
+    cfg = dataclasses.replace(GATE, M=16, epsilon=3.0, field="uniform")
+    assert max(run_multimodes(cfg).diagnostics["even_contraction"]) > 1.0
+
+
+def test_contraction_reads_zero_at_eps_zero_and_over_zero_modes(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_multimodes(dataclasses.replace(SMALL, epsilon=0.0, N=4))
+        assert res.diagnostics["even_contraction"] == [0.0, 0.0]
+        # eta = 0: phi_1..phi_N are zero, so ||phi_2|| / ||phi_0|| is 0 and
+        # ||phi_4|| / ||phi_2|| divides by a zero norm
+        _scale_eta(monkeypatch, 0.0)
+        res = run_multimodes(dataclasses.replace(SMALL, N=4))
+    assert res.diagnostics["mode_l2_norms"][1:] == [0.0] * 4
+    assert res.diagnostics["even_contraction"] == [0.0, 0.0]
+
+
+def test_diagnostics_independent_of_workers():
+    for run in (run_multimodes, run_standard):
+        one, three = (run(dataclasses.replace(SMALL, M=37, N=4, workers=w))
+                      for w in (1, 3))
+        assert one.diagnostics == three.diagnostics
 
 
 def test_zero_source_gives_zero_mean():

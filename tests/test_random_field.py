@@ -7,7 +7,6 @@ from mmdg.random_field import (
     GaussianSampler,
     compute_kl,
     covariance_matrix,
-    lipschitz_surrogate,
     sample_from_kl,
     sample_uniform,
 )
@@ -77,21 +76,6 @@ def test_gaussian_clamp():
     for _ in range(50):
         s = sampler.sample(rng, clamp=True)
         assert np.abs(s.values).max() <= 1.0
-
-
-def test_mu_hat_surrogate():
-    mesh = build_uniform_mesh(2)
-    sampler = GaussianSampler(mesh, CovarianceSpec(0.5))
-    rng = np.random.default_rng(2)
-    samples = [sampler.sample(rng).values for _ in range(3)]
-    per_sample = []
-    for v in samples:
-        diffs = np.abs(v[mesh.iface_owner] - v[mesh.iface_neighbor])
-        per_sample.append(lipschitz_surrogate(mesh, v))
-        assert per_sample[-1] == pytest.approx(diffs.max() / mesh.h)
-    # a (n_cells, B) block gives the largest of its columns' values, bitwise
-    assert lipschitz_surrogate(mesh, np.stack(samples, axis=1)) == max(per_sample)
-    assert lipschitz_surrogate(build_uniform_mesh(1), samples[0][:1]) == 0.0
 
 
 def test_uniform_moments():
