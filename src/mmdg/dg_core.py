@@ -11,7 +11,7 @@ penalty part of the IP-DG matrix; the DG norm evaluates them with the
 same blocks.
 
 The uniform mesh of the unit cube is invariant under the three mirrors
-x_a -> 1 - x_a.  mirror_basis gives a basis of the DG space in which
+x_a -> 1 - x_a.  mirror_orbits tabulates a basis of the DG space in which
 every operator that commutes with them, such as the IP-DG matrix with
 constant coefficients, splits into 8 independent blocks.
 """
@@ -19,6 +19,7 @@ constant coefficients, splits into 8 independent blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,52 +71,69 @@ def curl_vectors(h: float) -> np.ndarray:
     return _REF_CURLS / h
 
 
-def mirror_basis(mesh) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Sparse invertible basis Q of the DG space, its columns grouped by
-    mirror sector, and the sector of each column.
+# the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
+CENTRE = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
+                                                       [0, 1, 1, 1]))
+# MIRROR_ODD[a, loc]: mirror a flips centred dof loc = (c, m) if c = a xor m = a+1
+MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
+                        for loc in range(N_LOCAL)] for a in range(3)])
 
-    In the cell-centred monomials {1, x-1/2, y-1/2, z-1/2}, the mirror
-    x_a -> 1 - x_a maps cell (i, j, k) to its mirror cell and flips the
-    sign of local dof (c, m) when c = a, and again when m is the monomial
-    in x_a.  Each column of Q is a cell-centred dof, combined with its
-    mirror images so that it is even or odd under each mirror; bit a of
-    its sector is set when it is odd under mirror a.  For a matrix A that
-    commutes with the mirrors, Q^T A Q has no entry between two sectors.
-    On odd L, the combinations of a mid-plane cell that are odd under the
-    mirror that fixes it vanish and are left out, so Q stays square.
-    """
-    L = mesh.L
+
+def centre_blocks(K: np.ndarray) -> None:
+    """Overwrite a C-contiguous stack K of 12x12 blocks with C^T K C."""
+    for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
+        part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
+
+
+class MirrorOrbits(NamedTuple):
+    """The mirror basis Q = C S.  Column j of the signed orbit matrix S
+    sums a centred dof over its mirror images with signs +-1, so that it
+    is odd under mirror a exactly when bit a of its sector is set.  In one
+    sector S has at most one entry per row, and it is 1 at the orbit's
+    representative, its cell of least index along each axis."""
+
+    Q: sp.csr_matrix    # canonical CSR
+    column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
+    sign: np.ndarray    # S's entry there: +-1, or 0 if none
+    sector: np.ndarray  # (n,) sector of each column, columns grouped by it
+    rep: np.ndarray     # (n_cells,) representative of each cell's orbit
+    size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
+    image: np.ndarray   # (3, n_cells) image of each cell under mirror a
+
+
+def mirror_orbits(mesh) -> MirrorOrbits:
+    """Orbit table of the mesh's mirrors.  Along one axis, cells i and
+    L-1-i make an even and an odd combination numbered min(i, L-1-i), the
+    odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
+    Q stays square.  A sector's columns go by local dof, then by orbit."""
+    L, n = mesh.L, N_LOCAL * mesh.n_cells
     i = np.arange(L)
-    # along one axis, cell i and its mirror L-1-i make one even and one odd
-    # combination, both numbered min(i, L-1-i); sign[p][i] is the weight of
-    # cell i in the one of parity p, 0 where that one vanishes
-    col = np.minimum(i, L - 1 - i)
-    sign = (np.ones(L), np.sign(L - 1 - 2 * i))
-    ncol = ((L + 1) // 2, L // 2)
-    comp, mono = np.divmod(np.arange(N_LOCAL), 4)
-    rows, cols, vals, sector = [], [], [], []
-    for s in range(8):
-        for loc in range(N_LOCAL):
-            p0, p1, p2 = ((s >> a & 1) ^ (comp[loc] == a) ^ (mono[loc] == a + 1)
-                          for a in range(3))
-            v = np.multiply.outer(np.multiply.outer(sign[p0], sign[p1]),
-                                  sign[p2]).ravel()
-            c = np.add.outer(np.add.outer(col * ncol[p1], col) * ncol[p2],
-                             col).ravel()
-            cells = np.flatnonzero(v)
-            rows.append(N_LOCAL * cells + loc)
-            cols.append(len(sector) + c[cells])
-            vals.append(v[cells])
-            sector += [s] * (ncol[p0] * ncol[p1] * ncol[p2])
-    n = N_LOCAL * mesh.n_cells
-    signed_perm = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    # local dof (c, m>0) of the centred basis is e_c (x_m - 1/2)
-    centre = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
-                                                           [0, 1, 1, 1]))
-    Q = sp.kron(sp.identity(mesh.n_cells), centre, format="csr") @ signed_perm
-    return Q.tocsc(), np.array(sector)
+    ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
+    half = np.minimum(i, L - 1 - i)[ijk]                     # (3, n_cells)
+    weight = np.array([np.ones(L), np.sign(L - 1 - 2 * i)])  # [parity, i]
+    parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ MIRROR_ODD.T
+    ncol = np.array([(L + 1) // 2, L // 2])[parity]    # (sector, loc, axis)
+    count = ncol.prod(axis=2)
+    column = (np.cumsum(count).reshape(count.shape) - count
+              + (half[0, :, None, None] * ncol[..., 1] + half[1, :, None, None])
+              * ncol[..., 2] + half[2, :, None, None])
+    sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
+    dst, src = np.nonzero(CENTRE)                  # Q = C S, cell by cell
+    v = sign[:, :, src] * CENTRE[dst, src]
+    rows = N_LOCAL * np.arange(mesh.n_cells)[:, None, None] + dst
+    return MirrorOrbits(
+        Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
+                                     column[:, :, src][v != 0])), shape=(n, n)),
+        column=column, sign=sign,
+        sector=np.repeat(np.arange(8), count.sum(axis=1)),
+        rep=np.ravel_multi_index(half, (L,) * 3),
+        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
+        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
+
+
+def mirror_basis(mesh) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The mirror basis Q of the mesh and the sector of each column."""
+    return (orbits := mirror_orbits(mesh)).Q.tocsc(), orbits.sector
 
 
 def gauss01(q: int):
@@ -249,7 +267,8 @@ def l2_norm(field: DGField) -> float:
     """L2(D) norm via the exact local mass matrix."""
     M = ref_mass_12() * field.mesh.cell_volume
     c = field.cellwise()
-    val = np.einsum("ni,ij,nj->", c.conj(), M, c).real
+    # real products: a complex one raised a run's peak RSS by ~0.4 MB
+    val = sum(np.vdot(x, x @ M) for x in (c.real, c.imag))
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -8,11 +8,9 @@ The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
 commutes with the cube's three mirrors x_a -> 1 - x_a.  Its SystemMatrix
 names that mesh, and such a matrix is factored in the mesh's mirror basis
-Q (dg_core.mirror_basis): B = Q^T A Q has no entry between two of the 8
-mirror sectors, so it is 8 independent blocks, each about 1/8 of A.  The
-cross-sector entries of the computed product are round-off (~1e-16 of
-B's largest entry); a matrix whose entries there exceed MIRROR_TOL is
-refused, and the rest are dropped.  A solve is x = Q B^{-1} Q^T b.
+Q (dg_core.MirrorOrbits): B = Q^T A Q is 8 independent sector blocks,
+each about 1/8 of A, which sector_blocks folds from A's 12x12 cell
+blocks.  A solve is x = Q B^{-1} Q^T b.
 Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
 the (n, 2B) float64 view of a C-contiguous complex block: half the flops
 of a complex product, with bitwise the same result.
@@ -20,7 +18,7 @@ of a complex product, with bitwise the same result.
 Columns are ordered by minimum degree on the structure of B + B^T
 (SuperLU's MMD_AT_PLUS_A), a symmetric ordering for the complex symmetric
 IP-DG matrix, which never joins two blocks.  nnz(L+U) of A_h is
-25 400 at L=4, 231 000 at L=6 and 985 000 at L=8, against 120 500,
+25 400 at L=4, 207 000 at L=6 and 967 000 at L=8, against 120 500,
 982 000 and 3 728 000 for the coupled factor of A_h itself, and every
 triangular solve reads correspondingly fewer entries.  The exact counts
 move by up to ~2% with round-off in B, through pivoting.
@@ -34,11 +32,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dg_core import mirror_basis
+from .dg_core import (MIRROR_ODD, N_LOCAL, MirrorOrbits, centre_blocks,
+                      mirror_orbits)
 
-# Largest cross-sector entry of Q^T A Q, relative to its largest entry,
-# that a mirror-invariant A may have; exact symmetry leaves ~1e-16.
+# Largest difference between A and a mirror image of it, in the centred
+# basis and relative to A's largest entry; exact symmetry leaves ~1e-16.
 MIRROR_TOL = 1e-12
+# Sector-block entries at most this fraction of the largest are round-off.
+ROUNDOFF = 1e-14
 
 
 class SingularMatrixError(RuntimeError):
@@ -49,9 +50,9 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class Factorization:
-    """Stored sparse LU factors P B Pc = L U of B = Q^T A Q, where Q is
-    the mirror basis of a mirror-invariant A (stored as float64) and the
-    identity otherwise."""
+    """Stored sparse LU factors P B Pc = L U.  For a mirror-invariant A,
+    B is the block-diagonal sector_blocks of A and basis holds its mirror
+    basis Q (float64); otherwise B is A and basis is None."""
 
     lu: "spla.SuperLU"
     n: int
@@ -69,18 +70,9 @@ def factorize(A) -> Factorization:
     n, nnz = mat.shape[0], mat.nnz
     basis = None
     if getattr(A, "mirror_mesh", None) is not None:
-        Q, sector = mirror_basis(A.mirror_mesh)
-        B = ((Q.T @ mat) @ Q).tocoo()
-        same = sector[B.row] == sector[B.col]
-        worst = np.abs(B.data[~same]).max(initial=0.0)
-        if worst > MIRROR_TOL * np.abs(B.data).max(initial=0.0):
-            raise ValueError(
-                f"matrix is not mirror-invariant: a cross-sector entry of "
-                f"Q^T A Q is {worst / np.abs(B.data).max():.1e} of its "
-                f"largest entry")
-        mat = sp.csc_matrix((B.data[same], (B.row[same], B.col[same])),
-                            shape=(n, n))
-        basis = (Q.tocsr(), Q.T.tocsr())
+        orbits = mirror_orbits(A.mirror_mesh)
+        mat = sector_blocks(mat, orbits)
+        basis = (orbits.Q, orbits.Q.T.tocsr())
     try:
         lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -88,6 +80,48 @@ def factorize(A) -> Factorization:
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
     return Factorization(lu=lu, n=n, nnz=nnz, basis=basis)
+
+
+def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
+    """The 8 diagonal sector blocks of Q^T A Q as one CSC matrix, with no
+    n-by-n product, refusing A unless A_c = C^T A C equals its image under
+    each mirror within MIRROR_TOL.  Then A_c S_s = S_s X_s, with S_s's
+    columns orthogonal, so S_s^T A_c S_s = diag(size) X_s, and row j of
+    X_s is row r_j of A_c S_s, r_j the dof where column j's S_s is 1 at
+    its representative cell.  Entries at most ROUNDOFF of the largest are
+    dropped."""
+    nc = orbits.rep.size
+    # block (q, p) of A^T, centred, is block (p, q) of A_c transposed
+    At = mat.T.tobsr(blocksize=(N_LOCAL, N_LOCAL))
+    centre_blocks(At.data)
+    q, p, K = np.repeat(np.arange(nc), np.diff(At.indptr)), At.indices, At.data
+    # 1 + the index of the block at each block position, 0 where none
+    lookup = sp.csr_array((np.arange(1, len(K) + 1), (q, p)), shape=(nc, nc))
+    diff, worst = np.empty_like(K), 0.0      # one buffer for all 3 mirrors
+    for image, odd in zip(orbits.image, MIRROR_ODD):
+        at = lookup[image[q], image[p]]
+        np.take(K, at - 1, axis=0, out=diff, mode="wrap")
+        diff[at == 0] = 0.0                  # a block missing from A is zero
+        diff *= np.where(odd[:, None] ^ odd, -1.0, 1.0)
+        diff -= K
+        worst = max(worst, np.abs(diff.view(float), out=diff.view(float)).max())
+    scale = max(K.view(float).max(), -K.view(float).min())
+    if worst > MIRROR_TOL * scale:
+        raise ValueError(f"matrix is not mirror-invariant: a mirror moves an "
+                         f"entry by {worst / scale:.1e} of the largest")
+    rows = np.flatnonzero(orbits.rep[p] == p)
+    p, q, K = p[rows], q[rows], np.swapaxes(K[rows], 1, 2)
+    blk, sec, i, j = np.nonzero((K != 0)[:, None]
+                                & (orbits.sign[p] != 0)[..., None]
+                                & (orbits.sign[q] != 0)[:, :, None, :])
+    # the blocks of one column orbit land on the same entries, summed here
+    B = sp.csc_matrix(
+        (K[blk, i, j] * orbits.size[p[blk]] * orbits.sign[q[blk], sec, j],
+         (orbits.column[p[blk], sec, i], orbits.column[q[blk], sec, j])),
+        shape=mat.shape)
+    B.data[np.abs(B.data) <= ROUNDOFF * np.abs(B.data).max(initial=0.0)] = 0
+    B.eliminate_zeros()
+    return B
 
 
 def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:

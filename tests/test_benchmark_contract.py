@@ -81,6 +81,7 @@ def test_two_traced_draws_per_sample(driver, field, entry, monkeypatch):
 
 @pytest.mark.parametrize("driver", ["multimodes", "standard"])
 def test_traced_layer_counts(driver):
+    from mmdg import linalg
     from mmdg.assembly import assemble_a_h
     from mmdg.driver import SAMPLE_BLOCK, RunConfig
 
@@ -93,15 +94,18 @@ def test_traced_layer_counts(driver):
     a_h = assemble_a_h(build_uniform_mesh(2), cfg.k, cfg.lam, cfg.gamma0,
                        cfg.gamma1)
     assert m["assembly.nnz_A"] == a_h.matrix.nnz
-    assert m["linalg.nnz_LU"] > 0
     assert m["random_field.draws"] == 2 * M
     if driver == "multimodes":
         assert m["linalg.factorizations"] == 1
+        # the tracer reads one SuperLU object as the whole factor
+        lu = linalg.factorize(a_h).lu
+        assert m["linalg.nnz_LU"] == lu.L.nnz + lu.U.nnz
         # modes 0..N-1 solve a column per sample, mode N one per block
         assert (m["linalg.rhs_solved"]
                 == N * M + math.ceil(M / SAMPLE_BLOCK))
         assert m["linalg.solve_calls"] == (N + 1) * math.ceil(M / SAMPLE_BLOCK)
     else:
+        assert m["linalg.nnz_LU"] > 0
         assert (m["linalg.factorizations"] == m["linalg.rhs_solved"]
                 == m["linalg.solve_calls"] == M)
 

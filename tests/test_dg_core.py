@@ -123,6 +123,18 @@ def test_curl_linearity(seed, a, b):
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("L", [1, 3, 6])
+def test_l2_norm_matches_the_mass_quadratic_form(L):
+    # reference: sum over cells of c^H M c, one cell at a time
+    mesh = build_uniform_mesh(L)
+    rng = np.random.default_rng(L)
+    f = DGField(mesh, rng.normal(size=12 * mesh.n_cells)
+                + 1j * rng.normal(size=12 * mesh.n_cells))
+    M = ref_mass_12() * mesh.cell_volume
+    ref = np.sqrt(sum(np.vdot(c, M @ c).real for c in f.cellwise()))
+    assert abs(l2_norm(f) - ref) <= 1e-14 * ref
+
+
 def test_l2_norm_constant_and_indicator():
     m = build_uniform_mesh(2)
     f = DGField.constant(m, [1, 0, 0])

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from mmdg import linalg
 from mmdg.assembly import assemble_a_h, assemble_standard
-from mmdg.dg_core import mirror_basis
+from mmdg.dg_core import mirror_basis, mirror_orbits
 from mmdg.mesh import build_uniform_mesh
 
 
@@ -196,6 +196,54 @@ def test_mirror_solve_matches_coupled_solve():
     ref = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _sector_diagonal_of_product(mesh, A):
+    """The oracle: Q^T A Q by two sparse products, its cross-sector
+    entries dropped."""
+    Q, sector = mirror_basis(mesh)
+    B = (Q.T @ A.matrix @ Q).tocoo()
+    same = sector[B.row] == sector[B.col]
+    return sp.csc_matrix((B.data[same], (B.row[same], B.col[same])),
+                         shape=B.shape)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k, lam, gamma0, gamma1",
+                         [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
+def test_sector_blocks_are_the_diagonal_blocks_of_the_product(
+        L, k, lam, gamma0, gamma1):
+    # the blocks are folded from A's cell blocks, with no n-by-n product
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
+    oracle = _sector_diagonal_of_product(mesh, A)
+    B = linalg.sector_blocks(A.matrix, mirror_orbits(mesh))
+    assert abs(B - oracle).max() <= 1e-14 * abs(oracle).max()
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_sector_blocks_fill_no_more_than_the_product(L):
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    fact = linalg.factorize(A)
+    ref = spla.splu(_sector_diagonal_of_product(mesh, A),
+                    permc_spec="MMD_AT_PLUS_A")
+    assert (fact.lu.L.nnz + fact.lu.U.nnz
+            <= 1.02 * (ref.L.nnz + ref.U.nnz))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_mirror_factor_refuses_each_asymmetric_mirror(L, axis):
+    # alpha is symmetric under the other two mirrors, not under `axis`
+    mesh = build_uniform_mesh(L)
+    g = np.random.default_rng(axis).uniform(size=(L, L, L))
+    for other in {0, 1, 2} - {axis}:
+        g = g + np.flip(g, other)
+    assert not np.allclose(g, np.flip(g, axis))
+    A = assemble_standard(mesh, 2.0, 1.0, 10.0, 0.1, 1.0 + 0.05 * g.ravel())
+    with pytest.raises(ValueError, match="not mirror-invariant"):
+        linalg.factorize(dataclasses.replace(A, mirror_mesh=mesh))
 
 
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
