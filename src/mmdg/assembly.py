@@ -60,9 +60,7 @@ from .mesh import HexMesh
 class SystemMatrix:
     """Sparse complex IP-DG matrix A = S - i P in canonical CSC format
     (sorted indices, no duplicates, no stored zeros).  mirror_mesh is the
-    mesh whose three mirrors A commutes with, or None when it need not:
-    linalg.factorize folds the cell blocks of a matrix that names one into
-    8 mirror-sector blocks and factors those."""
+    mesh whose three mirrors A commutes with, or None when it need not."""
 
     matrix: sp.csc_matrix
     mirror_mesh: HexMesh | None = None

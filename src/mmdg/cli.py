@@ -200,7 +200,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    n_max = args.max_modes if args.max_modes is not None else cfg.N
+    if args.max_modes is not None:      # the runs and the manifest use it
+        cfg = dataclasses.replace(cfg, N=args.max_modes)
     outdir: Path = args.out
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -212,7 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     all_rows = []
     results = {}
     for eps in eps_list:
-        cfg_eps = dataclasses.replace(cfg, epsilon=eps, N=n_max)
+        cfg_eps = dataclasses.replace(cfg, epsilon=eps)
         res_std = results[f"standard_eps{eps}"] = run_standard(cfg_eps)
         if "multimodes" not in results:     # its modes serve every epsilon
             results["multimodes"] = run_multimodes(cfg_eps)
@@ -228,7 +229,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_timings(outdir / "timings.csv", results)
     _write_manifest(outdir, cfg, args.argv, {
         "command": "compare",
-        "N_max": n_max,
+        "N_max": cfg.N,
         "eps_sweep": eps_list,
         "matrix_hash": results["multimodes"].matrix_hash,
         "diagnostics": results["multimodes"].diagnostics,

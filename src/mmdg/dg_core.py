@@ -9,20 +9,13 @@ The interior-penalty face terms J0 (tangential jumps) and J1 (tangential
 curl jumps) are defined once, as the 24x24 face blocks that build the
 penalty part of the IP-DG matrix; the DG norm evaluates them with the
 same blocks.
-
-The uniform mesh of the unit cube is invariant under the three mirrors
-x_a -> 1 - x_a.  mirror_orbits tabulates a basis of the DG space in which
-every operator that commutes with them, such as the IP-DG matrix with
-constant coefficients, splits into 8 independent blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 N_LOCAL = 12
 
@@ -69,71 +62,6 @@ def curl_vectors(h: float) -> np.ndarray:
     """Constant curl of each local basis function on a cell of side h,
     shape (12, 3); the physical gradient carries a 1/h chain-rule factor."""
     return _REF_CURLS / h
-
-
-# the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
-CENTRE = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
-                                                       [0, 1, 1, 1]))
-# MIRROR_ODD[a, loc]: mirror a flips centred dof loc = (c, m) if c = a xor m = a+1
-MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
-                        for loc in range(N_LOCAL)] for a in range(3)])
-
-
-def centre_blocks(K: np.ndarray) -> None:
-    """Overwrite a C-contiguous stack K of 12x12 blocks with C^T K C."""
-    for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
-        part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
-
-
-class MirrorOrbits(NamedTuple):
-    """The mirror basis Q = C S.  Column j of the signed orbit matrix S
-    sums a centred dof over its mirror images with signs +-1, so that it
-    is odd under mirror a exactly when bit a of its sector is set.  In one
-    sector S has at most one entry per row, and it is 1 at the orbit's
-    representative, its cell of least index along each axis."""
-
-    Q: sp.csr_matrix    # canonical CSR
-    column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
-    sign: np.ndarray    # S's entry there: +-1, or 0 if none
-    sector: np.ndarray  # (n,) sector of each column, columns grouped by it
-    rep: np.ndarray     # (n_cells,) representative of each cell's orbit
-    size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
-    image: np.ndarray   # (3, n_cells) image of each cell under mirror a
-
-
-def mirror_orbits(mesh) -> MirrorOrbits:
-    """Orbit table of the mesh's mirrors.  Along one axis, cells i and
-    L-1-i make an even and an odd combination numbered min(i, L-1-i), the
-    odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
-    Q stays square.  A sector's columns go by local dof, then by orbit."""
-    L, n = mesh.L, N_LOCAL * mesh.n_cells
-    i = np.arange(L)
-    ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
-    half = np.minimum(i, L - 1 - i)[ijk]                     # (3, n_cells)
-    weight = np.array([np.ones(L), np.sign(L - 1 - 2 * i)])  # [parity, i]
-    parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ MIRROR_ODD.T
-    ncol = np.array([(L + 1) // 2, L // 2])[parity]    # (sector, loc, axis)
-    count = ncol.prod(axis=2)
-    column = (np.cumsum(count).reshape(count.shape) - count
-              + (half[0, :, None, None] * ncol[..., 1] + half[1, :, None, None])
-              * ncol[..., 2] + half[2, :, None, None])
-    sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
-    dst, src = np.nonzero(CENTRE)                  # Q = C S, cell by cell
-    v = sign[:, :, src] * CENTRE[dst, src]
-    rows = N_LOCAL * np.arange(mesh.n_cells)[:, None, None] + dst
-    return MirrorOrbits(
-        Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
-                                     column[:, :, src][v != 0])), shape=(n, n)),
-        column=column, sign=sign,
-        sector=np.repeat(np.arange(8), count.sum(axis=1)),
-        rep=np.ravel_multi_index(half, (L,) * 3),
-        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
-        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
-
-
-def mirror_basis(mesh) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The mirror basis Q of the mesh and the sector of each column."""
-    return (orbits := mirror_orbits(mesh)).Q.tocsc(), orbits.sector
 
 
 def gauss01(q: int):

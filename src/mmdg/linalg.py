@@ -8,9 +8,9 @@ The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
 commutes with the cube's three mirrors x_a -> 1 - x_a.  Its SystemMatrix
 names that mesh, and such a matrix is factored in the mesh's mirror basis
-Q (dg_core.MirrorOrbits): B = Q^T A Q is 8 independent sector blocks,
-each about 1/8 of A, which sector_blocks folds from A's 12x12 cell
-blocks.  A solve is x = Q B^{-1} Q^T b.
+Q, which mirror_orbits tabulates: B = Q^T A Q is 8 independent sector
+blocks, each about 1/8 of A, which sector_blocks folds from A's 12x12
+cell blocks.  A solve is x = Q B^{-1} Q^T b.
 Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
 the (n, 2B) float64 view of a C-contiguous complex block: half the flops
 of a complex product, with bitwise the same result.
@@ -27,13 +27,13 @@ move by up to ~2% with round-off in B, through pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dg_core import (MIRROR_ODD, N_LOCAL, MirrorOrbits, centre_blocks,
-                      mirror_orbits)
+from .dg_core import N_LOCAL
 
 # Largest difference between A and a mirror image of it, in the centred
 # basis and relative to A's largest entry; exact symmetry leaves ~1e-16.
@@ -82,6 +82,66 @@ def factorize(A) -> Factorization:
     return Factorization(lu=lu, n=n, nnz=nnz, basis=basis)
 
 
+# the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
+_CENTRE = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
+                                                        [0, 1, 1, 1]))
+# _MIRROR_ODD[a, loc]: mirror a flips centred dof loc = (c, m) if c = a xor m = a+1
+_MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
+                         for loc in range(N_LOCAL)] for a in range(3)])
+
+
+def _centre_blocks(K: np.ndarray) -> None:
+    """Overwrite a C-contiguous stack K of 12x12 blocks with C^T K C."""
+    for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
+        part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
+
+
+class MirrorOrbits(NamedTuple):
+    """The mirror basis Q = C S.  Column j of the signed orbit matrix S
+    sums a centred dof over its mirror images with signs +-1, so that it
+    is odd under mirror a exactly when bit a of its sector is set.  In one
+    sector S has at most one entry per row, and it is 1 at the orbit's
+    representative, its cell of least index along each axis."""
+
+    Q: sp.csr_matrix    # canonical CSR
+    column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
+    sign: np.ndarray    # S's entry there: +-1, or 0 if none
+    sector: np.ndarray  # (n,) sector of each column, columns grouped by it
+    rep: np.ndarray     # (n_cells,) representative of each cell's orbit
+    size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
+    image: np.ndarray   # (3, n_cells) image of each cell under mirror a
+
+
+def mirror_orbits(mesh) -> MirrorOrbits:
+    """Orbit table of the mesh's mirrors.  Along one axis, cells i and
+    L-1-i make an even and an odd combination numbered min(i, L-1-i), the
+    odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
+    Q stays square.  A sector's columns go by local dof, then by orbit."""
+    L, n = mesh.L, N_LOCAL * mesh.n_cells
+    i = np.arange(L)
+    ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
+    half = np.minimum(i, L - 1 - i)[ijk]                     # (3, n_cells)
+    weight = np.array([np.ones(L), np.sign(L - 1 - 2 * i)])  # [parity, i]
+    parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ _MIRROR_ODD.T
+    ncol = np.array([(L + 1) // 2, L // 2])[parity]    # (sector, loc, axis)
+    count = ncol.prod(axis=2)
+    column = (np.cumsum(count).reshape(count.shape) - count
+              + (half[0, :, None, None] * ncol[..., 1] + half[1, :, None, None])
+              * ncol[..., 2] + half[2, :, None, None])
+    sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
+    dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
+    v = sign[:, :, src] * _CENTRE[dst, src]
+    rows = N_LOCAL * np.arange(mesh.n_cells)[:, None, None] + dst
+    return MirrorOrbits(
+        Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
+                                     column[:, :, src][v != 0])), shape=(n, n)),
+        column=column, sign=sign,
+        sector=np.repeat(np.arange(8), count.sum(axis=1)),
+        rep=np.ravel_multi_index(half, (L,) * 3),
+        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
+        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
+
+
 def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
     """The 8 diagonal sector blocks of Q^T A Q as one CSC matrix, with no
     n-by-n product, refusing A unless A_c = C^T A C equals its image under
@@ -93,12 +153,12 @@ def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
     nc = orbits.rep.size
     # block (q, p) of A^T, centred, is block (p, q) of A_c transposed
     At = mat.T.tobsr(blocksize=(N_LOCAL, N_LOCAL))
-    centre_blocks(At.data)
+    _centre_blocks(At.data)
     q, p, K = np.repeat(np.arange(nc), np.diff(At.indptr)), At.indices, At.data
     # 1 + the index of the block at each block position, 0 where none
     lookup = sp.csr_array((np.arange(1, len(K) + 1), (q, p)), shape=(nc, nc))
     diff, worst = np.empty_like(K), 0.0      # one buffer for all 3 mirrors
-    for image, odd in zip(orbits.image, MIRROR_ODD):
+    for image, odd in zip(orbits.image, _MIRROR_ODD):
         at = lookup[image[q], image[p]]
         np.take(K, at - 1, axis=0, out=diff, mode="wrap")
         diff[at == 0] = 0.0                  # a block missing from A is zero

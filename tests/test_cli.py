@@ -152,6 +152,15 @@ def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
     assert f"max_even_contraction={max(contraction):.3g}" in printed
 
 
+def test_compare_manifest_records_the_modes_it_ran(tmp_path):
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "--L", 2, "--samples", 2, "--modes", 3,
+                    "--max-modes", 1, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["N"] == manifest["N_max"] == 1
+    assert len(manifest["diagnostics"]["mode_l2_norms"]) == 2
+
+
 def test_golden_csv_headers(tmp_path):
     # schema stability: pinned headers
     assert ERRORS_HEADER == ["N", "l2_error", "dg_error", "eps_pow_N",

@@ -14,7 +14,6 @@ from mmdg.dg_core import (
     eval_field,
     l2_norm,
     make_quadrature,
-    mirror_basis,
     monomial_values,
     ref_mass_12,
 )
@@ -294,51 +293,3 @@ def test_basis_linear_independence():
     # local Gram matrix must be nonsingular
     w = np.linalg.eigvalsh(ref_mass_12())
     assert w.min() > 1e-4
-
-
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
-def test_mirror_basis_is_square_and_grouped(L):
-    Q, sector = mirror_basis(build_uniform_mesh(L))
-    assert Q.shape == (12 * L**3, 12 * L**3)
-    assert np.all(np.diff(sector) >= 0)
-    sizes = np.bincount(sector, minlength=8)
-    assert sizes.sum() == 12 * L**3
-    if L == 1:                       # one sector is empty
-        assert sizes.tolist() == [3, 1, 1, 2, 1, 2, 2, 0]
-    if L <= 3:
-        assert np.linalg.matrix_rank(Q.toarray()) == 12 * L**3
-
-
-@pytest.mark.parametrize("L", [2, 3])
-def test_mirror_basis_columns_have_their_parity(L):
-    # bit a of a column's sector is set when its field E is odd under the
-    # mirror R_a: x_a -> 1 - x_a, i.e. R_a E(R_a x) = -E(x)
-    mesh = build_uniform_mesh(L)
-    Q, sector = mirror_basis(mesh)
-    rng = np.random.default_rng(0)
-    for j in range(Q.shape[1]):
-        field = DGField(mesh, Q[:, j].toarray().ravel())
-        cell = int(rng.integers(mesh.n_cells))
-        x = mesh.cell_lower(cell) + mesh.h * rng.uniform(0.1, 0.9, 3)
-        ijk = np.array(np.unravel_index(cell, (L, L, L)))
-        for a in range(3):
-            m_ijk = ijk.copy()
-            m_ijk[a] = L - 1 - ijk[a]
-            y = x.copy()
-            y[a] = 1.0 - x[a]
-            image = eval_field(field, int(np.ravel_multi_index(m_ijk, (L,) * 3)), y)
-            image[a] = -image[a]
-            parity = -1.0 if sector[j] >> a & 1 else 1.0
-            assert np.allclose(image, parity * eval_field(field, cell, x),
-                               atol=1e-13)
-
-
-@pytest.mark.parametrize("L", [3, 4])
-@pytest.mark.parametrize("k, lam, gamma0, gamma1",
-                         [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
-def test_a_h_does_not_couple_mirror_sectors(L, k, lam, gamma0, gamma1):
-    mesh = build_uniform_mesh(L)
-    Q, sector = mirror_basis(mesh)
-    B = (Q.T @ assemble_a_h(mesh, k, lam, gamma0, gamma1).matrix @ Q).tocoo()
-    cross = sector[B.row] != sector[B.col]
-    assert np.abs(B.data[cross]).max() <= 1e-14 * np.abs(B.data).max()

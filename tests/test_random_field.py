@@ -46,6 +46,24 @@ def test_perfect_correlation_limit():
     assert np.ptp(s.values) <= 1e-3 * max(1.0, abs(s.values[0]))
 
 
+def test_singular_covariance_falls_back_to_eigh():
+    # at ell=1e300 the covariance is exactly all-ones, so the Cholesky
+    # raises and the factor comes from the spectrum floored at 0
+    mesh = build_uniform_mesh(2)
+    spec = CovarianceSpec(1e300)
+    C = covariance_matrix(mesh, spec)
+    assert np.all(C == 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(C)
+    sampler = GaussianSampler(mesh, spec)
+    assert np.abs(sampler.factor @ sampler.factor.T - C).max() <= 1e-14
+    # constant to round-off: the floor keeps eigenvalues of ~1e-16, whose
+    # square roots spread a sample by ~1e-8
+    v = sampler.sample(np.random.default_rng(0)).values
+    assert np.all(np.isfinite(v))
+    assert np.ptp(v) <= 10 * np.sqrt(np.finfo(float).eps)
+
+
 def test_empirical_covariance_matches_exponential():
     mesh = build_uniform_mesh(3)
     sampler = GaussianSampler(mesh, CovarianceSpec(0.5))
