@@ -8,12 +8,13 @@ draws and results are independent of execution order and worker count.
 Both algorithms run one block loop: the samples are cut into fixed
 consecutive blocks (SAMPLE_BLOCK samples for the multi-modes algorithm,
 one for the reference), each block's per-mode sums are formed first, and
-the block sums are added in block order.  The mean psi is
-sum_n eps^n phi_n over the per-mode means phi_n, by the one combination
-rule that truncations and error rows use too.  In the multi-modes
-recursion each mode of a block is one B-column triangular solve, except
-mode N: it feeds no later mode, so its block sum is one solve of the
-summed sources.
+the block sums are added in block order.  Each estimator's block solver
+is a generator of a block's per-mode sums; the loop alone times the
+modes.  The mean psi is sum_n eps^n phi_n over the per-mode means phi_n,
+by the one combination rule that truncations and error rows use too.  In
+the multi-modes recursion each mode of a block is one B-column triangular
+solve, except mode N: it feeds no later mode, so its block sum is one
+solve of the summed sources.
 """
 
 from __future__ import annotations
@@ -170,16 +171,17 @@ def _health(mode_means: list[DGField], eps: float) -> dict:
 
 def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
                  block_size: int, n_modes: int, solve_block) -> MCResult:
-    """The sampling loop both estimators share.
+    """The sampling loop both estimators share, and the only code that
+    times modes.
 
     Cuts the samples 0..M-1 into consecutive blocks of block_size, draws
-    each block's fields into (n_cells, B) arrays and calls
-    solve_block(etas, xis), which returns the block's (n_modes, n_dof)
-    per-mode sums and the seconds spent per mode.  The block's field draws
-    and the eta block's sup norm are charged to mode 0.  The sums are
-    reduced in block order; psi is the eps^n-weighted sum of their means,
-    and the diagnostics are _health of the means.  The caller sets the
-    factorization count."""
+    each block's fields into (n_cells, B) arrays and iterates
+    solve_block(etas, xis), a generator that yields the block's n_modes
+    per-mode sums (n_dof,) in mode order.  Each mode is charged the time
+    since the previous yield; mode 0's time starts at the block's first
+    draw.  The sums are reduced in block order; psi is the eps^n-weighted
+    sum of their means, and the diagnostics are _health of the means.  The
+    caller sets the factorization count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -196,9 +198,13 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
             etas[:, col] = eta.values
             xis[:, col] = xi.values
         sup = float(np.abs(etas).max())
-        t_draws = time.perf_counter() - t0
-        mode_sums, mode_times = solve_block(etas, xis)
-        mode_times[0] += t_draws
+        mode_sums = np.empty((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
+        mode_times = np.empty(n_modes)
+        for n, mode_sum in enumerate(solve_block(etas, xis)):
+            mode_sums[n] = mode_sum
+            t1 = time.perf_counter()
+            mode_times[n] = t1 - t0
+            t0 = t1
         return block, sup, mode_sums, mode_times
 
     mode_acc = np.zeros((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
@@ -246,14 +252,11 @@ def run_standard(config: RunConfig) -> MCResult:
     draws = _FieldDraws(mesh, config)
 
     def solve_block(etas, xis):
-        t0 = time.perf_counter()
         alpha = 1.0 + config.epsilon * etas[:, 0]
         A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
                               config.gamma1, alpha)
-        fact = linalg.factorize(A)
         b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
-        x = linalg.solve(fact, b)
-        return x[None], [time.perf_counter() - t0]
+        yield linalg.solve(linalg.factorize(A), b)
 
     res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
     res.mode_means = None
@@ -270,7 +273,6 @@ def run_multimodes(config: RunConfig) -> MCResult:
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
     draws = _FieldDraws(mesh, config)
-    n_modes = config.N + 1
 
     t0 = time.perf_counter()
     A = assemble_a_h(mesh, config.k, config.lam, config.gamma0, config.gamma1)
@@ -280,28 +282,16 @@ def run_multimodes(config: RunConfig) -> MCResult:
     t_factor = time.perf_counter() - t0
 
     def solve_block(etas, xis):
-        """Per-mode sums over the block's samples of the modes E_n; the
-        mode-0 load is charged to mode 0."""
-        t0 = time.perf_counter()
         b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
-        mode_sums = np.empty((n_modes, fact.n), dtype=np.complex128)
-        mode_times = np.zeros(n_modes)
         e_prev = e_prev2 = np.zeros_like(b)
-        for n in range(n_modes):
-            if n > 0:
-                b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
-            if n == config.N:     # feeds no later mode: one column, not B
-                mode_sums[n] = linalg.solve(fact, b.sum(axis=1))
-            else:
-                x = linalg.solve(fact, b)
-                mode_sums[n] = x.sum(axis=1)
-                e_prev2, e_prev = e_prev, x
-            t1 = time.perf_counter()
-            mode_times[n] = t1 - t0
-            t0 = t1
-        return mode_sums, mode_times
+        for _ in range(config.N):
+            x = linalg.solve(fact, b)
+            yield x.sum(axis=1)
+            e_prev2, e_prev = e_prev, x
+            b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
+        yield linalg.solve(fact, b.sum(axis=1))
 
-    res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, n_modes,
+    res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, config.N + 1,
                        solve_block)
     res.timings.update(assembly_s=t_assembly, factorization_s=t_factor)
     res.factorizations = 1

@@ -61,9 +61,11 @@ class GaussianSampler:
         try:
             self.factor = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
-            # covariance numerically indefinite: floor the spectrum at 0
+            # covariance numerically singular: zero the eigenvalues at or
+            # below round-off of the largest, negative or not
             w, V = np.linalg.eigh(C)
-            self.factor = V * np.sqrt(np.clip(w, 0.0, None))
+            w[w <= len(w) * np.finfo(float).eps * w[-1]] = 0.0
+            self.factor = V * np.sqrt(w)
 
     def sample(self, rng: np.random.Generator, clamp: bool = False) -> FieldSample:
         values = self.factor @ rng.standard_normal(self.mesh.n_cells)

@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mmdg
 from mmdg.cli import (ERRORS_HEADER, PRESET_EPS_SWEEP, _build_config, main,
                       make_parser)
 from mmdg.driver import RunConfig, _FieldDraws
@@ -358,3 +361,25 @@ def test_kl_info_near_rank_one(tmp_path):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][2]) >= 0.99
+
+
+def test_package_imports_leave_out_heavy_scipy_modules():
+    # peak_rss_mb in the benchmark has a 10% bound: scipy.spatial adds
+    # ~7 MB and scipy.stats ~37 MB to a process that peaks near 70 MB
+    src = os.path.dirname(os.path.dirname(mmdg.__file__))
+    code = (
+        "import sys\n"
+        "import mmdg.cli\n"
+        "from mmdg.driver import RunConfig, run_multimodes, run_standard\n"
+        "cfg = RunConfig(L=2, M=2, N=1)\n"
+        "run_multimodes(cfg)\n"
+        "run_standard(cfg)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "            if m.split('.')[:2] in (['scipy', 'spatial'],\n"
+        "                                    ['scipy', 'stats'])))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

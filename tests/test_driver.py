@@ -520,6 +520,37 @@ def test_per_mode_times_cover_the_draws(run, monkeypatch):
     assert sum(timings["per_mode_s"]) <= timings["samples_s"]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("delayed, charged", [
+    ("assemble_mode_source", (1, 2, 3)),
+    ("assemble_oscillatory_load", (0,)),
+])
+def test_each_mode_is_charged_its_own_work(delayed, charged, workers,
+                                           monkeypatch):
+    # a pause in one step of the recursion lands on the modes that step
+    # builds: mode sources on modes 1..N, the load on mode 0
+    from mmdg import driver
+
+    pause = 0.03
+    step = getattr(driver, delayed)
+
+    def slow_step(*args):
+        time.sleep(pause)
+        return step(*args)
+
+    monkeypatch.setattr(driver, delayed, slow_step)
+    cfg = dataclasses.replace(SMALL, L=2, M=2 * SAMPLE_BLOCK, N=3,
+                              workers=workers)
+    per_mode = run_multimodes(cfg).timings["per_mode_s"]
+    assert len(per_mode) == cfg.N + 1
+    n_blocks = 2
+    for n, seconds in enumerate(per_mode):
+        if n in charged:
+            assert seconds >= n_blocks * pause
+        else:
+            assert seconds < n_blocks * pause
+
+
 def test_matrix_hash_assembles_on_first_read(monkeypatch):
     from mmdg import driver
 
