@@ -92,33 +92,26 @@ def _read_config_file(path: Path) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    defaults = dataclasses.asdict(RunConfig())   # a file value takes its type
     values: dict = {}
     if args.preset:
         values.update(PRESETS[args.preset])
     if args.config:
         for key, val in _read_config_file(args.config).items():
-            if key not in fields:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            typ = fields[key]
-            if typ in ("bool", bool):
+            if isinstance(defaults[key], bool):
                 if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
                     raise ValueError(f"config key {key!r} must be a boolean "
                                      f"(1/true/yes or 0/false/no), got {val!r}")
                 values[key] = val.lower() in ("1", "true", "yes")
-            elif typ in ("int", int):
-                values[key] = int(val)
-            elif typ in ("float", float) or "float" in str(typ):
-                values[key] = float(val)
             else:
-                values[key] = val
-    for name in fields:     # each config flag's dest is its field's name
+                values[key] = type(defaults[key])(val)
+    for name in defaults:   # each config flag's dest is its field's name
         val = getattr(args, name, None)
         if val is not None:
             values[name] = val
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def _write_manifest(outdir: Path, config: RunConfig, argv: list[str],

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +46,8 @@ SAMPLE_BLOCK = 16
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one Monte Carlo run."""
+    """All knobs of one Monte Carlo run; an invalid config raises
+    ValueError on construction, dataclasses.replace included."""
 
     L: int = 4                     # cells per axis, h = 1/L
     k: float = 2.0                 # wave number
@@ -62,13 +62,11 @@ class RunConfig:
     clamp: bool = False
     q_f: int = 4                   # load quadrature order per axis
     seed: int = 0
-    # read by nothing; kept, and validated, so callers that set it still run
-    mu_user: float | None = None
     workers: int = 1
 
-    def validate(self) -> None:
-        for name in "k lam epsilon gamma0 gamma1 ell mu_user".split():
-            if not np.isfinite(getattr(self, name) or 0.0):  # unset mu_user
+    def __post_init__(self) -> None:
+        for name in "k lam epsilon gamma0 gamma1 ell".split():
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.L < 1:
             raise ValueError("L must be >= 1")
@@ -92,9 +90,10 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MCResult:
-    """Outputs of one Monte Carlo run."""
+    """Outputs of one Monte Carlo run, frozen: each driver builds it
+    complete."""
 
     psi: DGField                          # combined mean field
     mode_means: list[DGField] | None      # per-mode sample means (multi-modes)
@@ -103,15 +102,8 @@ class MCResult:
     field_stats: dict
     factorizations: int
     config: RunConfig
-
-    @cached_property
-    def matrix_hash(self) -> str:
-        """Content hash of this run's deterministic matrix A_h, for the
-        manifest.  run_multimodes sets it from the A_h it factored; for a
-        run_standard result, A_h is assembled on the first read."""
-        cfg = self.config
-        return assemble_a_h(self.psi.mesh, cfg.k, cfg.lam, cfg.gamma0,
-                            cfg.gamma1).content_hash()
+    # content hash of the A_h the run factored; None for the reference
+    matrix_hash: str | None = None
 
 
 def sample_stream(seed: int, j: int, purpose: int) -> np.random.Generator:
@@ -181,7 +173,8 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     since the previous yield; mode 0's time starts at the block's first
     draw.  The sums are reduced in block order; psi is the eps^n-weighted
     sum of their means, and the diagnostics are _health of the means.  The
-    caller sets the factorization count."""
+    result counts no factorization; each driver returns a copy with its
+    own count."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -246,7 +239,6 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
 def run_standard(config: RunConfig) -> MCResult:
     """Per-sample assembly and factorization; the reference estimator.
     Blocks hold one sample each, so workers > 1 stay busy at small M."""
-    config.validate()
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
     draws = _FieldDraws(mesh, config)
@@ -258,10 +250,8 @@ def run_standard(config: RunConfig) -> MCResult:
         b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
         yield linalg.solve(linalg.factorize(A), b)
 
-    res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
-    res.mode_means = None
-    res.factorizations = config.M
-    return res
+    return replace(_monte_carlo(config, draws, t_start, 1, 1, solve_block),
+                   mode_means=None, factorizations=config.M)
 
 
 def run_multimodes(config: RunConfig) -> MCResult:
@@ -269,7 +259,6 @@ def run_multimodes(config: RunConfig) -> MCResult:
     factorization, then per block of SAMPLE_BLOCK samples one load call,
     N block triangular solves with recursive sources for modes 0..N-1 and
     one single-column solve of the summed mode-N sources."""
-    config.validate()
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
     draws = _FieldDraws(mesh, config)
@@ -293,10 +282,9 @@ def run_multimodes(config: RunConfig) -> MCResult:
 
     res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, config.N + 1,
                        solve_block)
-    res.timings.update(assembly_s=t_assembly, factorization_s=t_factor)
-    res.factorizations = 1
-    res.matrix_hash = A.content_hash()   # so that no reader assembles A_h again
-    return res
+    return replace(res, timings={**res.timings, "assembly_s": t_assembly,
+                                 "factorization_s": t_factor},
+                   factorizations=1, matrix_hash=A.content_hash())
 
 
 def _mode_sum(mode_means: list[DGField], eps: float, N: int) -> np.ndarray:

@@ -85,7 +85,7 @@ def test_criterion_4_per_sample_series_consistency():
 
 
 def test_criterion_5_lu_reuse_speedup():
-    cfg = RunConfig(L=6, M=200, N=6, epsilon=0.1, seed=1, mu_user=1.0)
+    cfg = RunConfig(L=6, M=200, N=6, epsilon=0.1, seed=1)
     rows, _, _ = compare_algorithms(cfg, N_max=6)
     r2 = rows[2]
     speedup = r2["time_standard_s"] / r2["time_multimodes_s"]
@@ -108,7 +108,7 @@ def test_criterion_6_monte_carlo_rate():
         vals = [
             component_integral(
                 run_multimodes(RunConfig(L=3, M=M, N=2, epsilon=0.1,
-                                         seed=s, mu_user=1.0)).psi, 0
+                                         seed=s)).psi, 0
             ).real
             for s in seeds
         ]

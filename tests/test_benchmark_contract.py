@@ -119,8 +119,7 @@ def test_numba_stamp_field_exists():
 @pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
 def test_workload_runs_and_reports(name):
     w = RUN.WORKLOADS[name]
-    cfg = RUN.make_config(w, 0)
-    cfg.validate()
+    cfg = RUN.make_config(w, 0)   # a RunConfig validates on construction
     res = RUN.driver_fn(w.driver)(replace(cfg, L=2, M=2))
     assert np.isfinite(res.psi.coeffs).all()
     assert res.timings["setup_s"] >= 0.0

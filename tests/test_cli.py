@@ -133,6 +133,20 @@ def test_manifest_hash_reuses_the_runs_a_h(tmp_path, monkeypatch, command):
     ).content_hash()
 
 
+def test_reference_run_records_no_matrix_hash(tmp_path, monkeypatch):
+    from mmdg import driver
+
+    def no_assembly(*args):
+        raise AssertionError("a reference run assembled A_h")
+
+    monkeypatch.setattr(driver, "assemble_a_h", no_assembly)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--algorithm", "standard", "--L", 2,
+                    "--samples", 2, "--modes", 1, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "matrix_hash" in manifest and manifest["matrix_hash"] is None
+
+
 def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
     def no_constant(name):
         raise ValueError(f"manifest holds {name}")
@@ -198,6 +212,17 @@ def test_non_finite_config_exit_code(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_compare_bad_max_modes_writes_nothing(tmp_path, capsys):
+    # --max-modes replaces N after the flags are read; the replaced config
+    # is refused before the output directory is made
+    out = tmp_path / "x"
+    rc = run_cli(["compare", "--L", 2, "--samples", 2, "--max-modes", -1,
+                  "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_every_config_flag_sets_its_field():
     argv = ["run", "--L", "3", "--k", "1.5", "--lam", "2.5",
             "--epsilon", "0.2", "--gamma0", "7", "--gamma1", "0.3",
@@ -208,11 +233,36 @@ def test_every_config_flag_sets_its_field():
     assert cfg == RunConfig(L=3, k=1.5, lam=2.5, epsilon=0.2, gamma0=7.0,
                             gamma1=0.3, M=9, N=5, field="uniform", ell=0.25,
                             clamp=True, q_f=3, seed=6, workers=2)
-    # every field but mu_user, which has no flag, moved off its default
+    # every field moved off its default: a field with no flag fails here
     default = RunConfig()
     moved = {f.name for f in dataclasses.fields(RunConfig)
              if getattr(cfg, f.name) != getattr(default, f.name)}
-    assert moved == {f.name for f in dataclasses.fields(RunConfig)} - {"mu_user"}
+    assert moved == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_every_config_key_sets_its_field(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("L = 3\nk = 1.5\nlam = 2.5\nepsilon = 0.2\ngamma0 = 7\n"
+                    "gamma1 = 0.3\nM = 9\nN = 5\nfield = uniform\n"
+                    "ell = 0.25\nclamp = yes\nq_f = 3\nseed = 6\n"
+                    "workers = 2\n")
+    cfg = _build_config(make_parser().parse_args(["run", "--config",
+                                                  str(path)]))
+    expected = RunConfig(L=3, k=1.5, lam=2.5, epsilon=0.2, gamma0=7.0,
+                         gamma1=0.3, M=9, N=5, field="uniform", ell=0.25,
+                         clamp=True, q_f=3, seed=6, workers=2)
+    assert cfg == expected
+    # each value has its field's type, not merely an equal value
+    for f in dataclasses.fields(RunConfig):
+        assert type(getattr(cfg, f.name)) is type(getattr(expected, f.name))
+    default = RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig))
+    # a value that does not convert to its field's type is refused
+    path.write_text("L = 2\nM = 2.5\n")
+    out = tmp_path / "x"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_field_csv_export(tmp_path):
@@ -259,8 +309,8 @@ def test_singular_matrix_exit_code(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("line", ["C0_user = 1.0", "Chat0_user = 1.0",
-                                  "kind = exponential"],
-                         ids=["C0_user", "Chat0_user", "kind"])
+                                  "kind = exponential", "mu_user = 1.0"],
+                         ids=["C0_user", "Chat0_user", "kind", "mu_user"])
 def test_config_file_unknown_key_exit_code(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"L = 2\n{line}\n")

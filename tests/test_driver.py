@@ -36,11 +36,15 @@ def test_config_validation():
         dict(epsilon=np.nan), dict(epsilon=np.inf), dict(k=np.nan),
         dict(k=np.inf), dict(lam=np.nan), dict(gamma0=np.inf),
         dict(gamma1=np.nan), dict(ell=np.nan), dict(ell=np.inf),
-        dict(mu_user=np.nan), dict(mu_user=-np.inf), dict(seed=-1),
+        dict(seed=-1),
     ]
+    # an invalid config cannot be built, directly or by replace
     for kw in bad:
         with pytest.raises(ValueError):
-            dataclasses.replace(SMALL, **kw).validate()
+            RunConfig(**kw)
+        with pytest.raises(ValueError):
+            dataclasses.replace(SMALL, **kw)
+    assert len(dataclasses.fields(RunConfig)) == 14
 
 
 def test_eps_zero_algorithms_coincide():
@@ -191,7 +195,7 @@ def test_field_stats_are_maxima_over_the_eta_draws(field, M, workers):
 def test_large_eps_runs_without_warning():
     # eps = 0.9 at N = 2: the contraction eps^2 ||phi_2|| / ||phi_0|| is
     # recorded, and no value of it raises a warning
-    cfg = dataclasses.replace(SMALL, epsilon=0.9, M=1, N=2, mu_user=1.0)
+    cfg = dataclasses.replace(SMALL, epsilon=0.9, M=1, N=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         r = run_multimodes(cfg)
@@ -551,7 +555,7 @@ def test_each_mode_is_charged_its_own_work(delayed, charged, workers,
             assert seconds < n_blocks * pause
 
 
-def test_matrix_hash_assembles_on_first_read(monkeypatch):
+def test_matrix_hash_only_from_the_factored_a_h(monkeypatch):
     from mmdg import driver
 
     calls = []
@@ -563,11 +567,19 @@ def test_matrix_hash_assembles_on_first_read(monkeypatch):
 
     monkeypatch.setattr(driver, "assemble_a_h", counting_assemble)
     cfg = dataclasses.replace(SMALL, M=2, N=1)
+    # the reference run builds no A_h, so it records no hash
     res = run_standard(cfg)
-    assert not calls
+    assert res.matrix_hash is None and not calls
+    res_mm = run_multimodes(cfg)
+    assert len(calls) == 1
     mesh = build_uniform_mesh(cfg.L)
-    expected = assemble(mesh, cfg.k, cfg.lam, cfg.gamma0,
-                        cfg.gamma1).content_hash()
-    assert res.matrix_hash == expected and len(calls) == 1
-    assert res.matrix_hash == expected and len(calls) == 1  # cached
-    assert run_multimodes(cfg).matrix_hash == expected
+    assert res_mm.matrix_hash == assemble(mesh, cfg.k, cfg.lam, cfg.gamma0,
+                                          cfg.gamma1).content_hash()
+    assert len(calls) == 1
+
+
+def test_result_is_frozen():
+    res = run_multimodes(dataclasses.replace(SMALL, M=1, N=1))
+    for name in ("psi", "factorizations", "matrix_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, name, None)
