@@ -168,13 +168,14 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
 
     Cuts the samples 0..M-1 into consecutive blocks of block_size, draws
     each block's fields into (n_cells, B) arrays and iterates
-    solve_block(etas, xis), a generator that yields the block's n_modes
-    per-mode sums (n_dof,) in mode order.  Each mode is charged the time
-    since the previous yield; mode 0's time starts at the block's first
-    draw.  The sums are reduced in block order; psi is the eps^n-weighted
-    sum of their means, and the diagnostics are _health of the means.  The
-    result counts no factorization; each driver returns a copy with its
-    own count."""
+    solve_block(block, etas, xis), a generator that yields the block's
+    n_modes per-mode sums (n_dof,) in mode order; block is the range of
+    the block's sample indices.  Each mode is charged the time since the
+    previous yield; mode 0's time starts at the block's first draw.  The
+    sums are reduced in block order; psi is the eps^n-weighted sum of
+    their means, and the diagnostics are _health of the means.  The result
+    counts no factorization and records no factor; each driver returns a
+    copy with its own count and its factor's stats."""
     t_samples = time.perf_counter()
     mesh = draws.mesh
     # the cut into blocks depends on M alone, never on the worker count
@@ -193,7 +194,7 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
         sup = float(np.abs(etas).max())
         mode_sums = np.empty((n_modes, 12 * mesh.n_cells), dtype=np.complex128)
         mode_times = np.empty(n_modes)
-        for n, mode_sum in enumerate(solve_block(etas, xis)):
+        for n, mode_sum in enumerate(solve_block(block, etas, xis)):
             mode_sums[n] = mode_sum
             t1 = time.perf_counter()
             mode_times[n] = t1 - t0
@@ -238,20 +239,26 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
 
 def run_standard(config: RunConfig) -> MCResult:
     """Per-sample assembly and factorization; the reference estimator.
-    Blocks hold one sample each, so workers > 1 stay busy at small M."""
+    Blocks hold one sample each, so workers > 1 stay busy at small M.  The
+    diagnostics record sample 0's factor."""
     t_start = time.perf_counter()
     mesh = build_uniform_mesh(config.L)
     draws = _FieldDraws(mesh, config)
+    first_factor = {}
 
-    def solve_block(etas, xis):
+    def solve_block(block, etas, xis):
         alpha = 1.0 + config.epsilon * etas[:, 0]
         A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
                               config.gamma1, alpha)
         b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
-        yield linalg.solve(linalg.factorize(A), b)
+        fact = linalg.factorize(A)
+        if block.start == 0:
+            first_factor.update(fact.stats)
+        yield linalg.solve(fact, b)
 
-    return replace(_monte_carlo(config, draws, t_start, 1, 1, solve_block),
-                   mode_means=None, factorizations=config.M)
+    res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
+    return replace(res, mode_means=None, factorizations=config.M,
+                   diagnostics={**res.diagnostics, "factor": first_factor})
 
 
 def run_multimodes(config: RunConfig) -> MCResult:
@@ -270,7 +277,7 @@ def run_multimodes(config: RunConfig) -> MCResult:
     fact = linalg.factorize(A)
     t_factor = time.perf_counter() - t0
 
-    def solve_block(etas, xis):
+    def solve_block(block, etas, xis):
         b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
         e_prev = e_prev2 = np.zeros_like(b)
         for _ in range(config.N):
@@ -284,6 +291,7 @@ def run_multimodes(config: RunConfig) -> MCResult:
                        solve_block)
     return replace(res, timings={**res.timings, "assembly_s": t_assembly,
                                  "factorization_s": t_factor},
+                   diagnostics={**res.diagnostics, "factor": fact.stats},
                    factorizations=1, matrix_hash=A.content_hash())
 
 

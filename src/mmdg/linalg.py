@@ -15,13 +15,13 @@ Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
 the (n, 2B) float64 view of a C-contiguous complex block: half the flops
 of a complex product, with bitwise the same result.
 
-Columns are ordered by minimum degree on the structure of B + B^T
-(SuperLU's MMD_AT_PLUS_A), a symmetric ordering for the complex symmetric
-IP-DG matrix, which never joins two blocks.  nnz(L+U) of A_h is
-25 400 at L=4, 207 000 at L=6 and 967 000 at L=8, against 120 500,
-982 000 and 3 728 000 for the coupled factor of A_h itself, and every
-triangular solve reads correspondingly fewer entries.  The exact counts
-move by up to ~2% with round-off in B, through pivoting.
+From L = NESTED_MIN_L = 5 on, mirror_orbits numbers each sector's
+columns by nested dissection of its cell grid and SuperLU keeps that
+order (NATURAL); below, SuperLU orders B by minimum degree on B + B^T
+(MMD_AT_PLUS_A).  Neither joins two blocks.  nnz(L+U) is 25 427 at L=4,
+170 432 at L=6 and 709 184 at L=8, against 120 500, 982 000 and
+3 728 000 for the coupled factor of A_h; it can move with round-off in B,
+through pivoting.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .dg_core import N_LOCAL
 MIRROR_TOL = 1e-12
 # Sector-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
+# Meshes this fine or finer get nested-dissection sector columns; at L=4
+# nested dissection fills 28 656 entries to minimum degree's 25 427.
+NESTED_MIN_L = 5
 
 
 class SingularMatrixError(RuntimeError):
@@ -58,28 +61,40 @@ class Factorization:
     n: int
     nnz: int                                  # of A
     basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None  # (Q, Q^T)
+    ordering: str = "mmd"                     # or "nested_dissection"
+
+    @property
+    def stats(self) -> dict:
+        """The column ordering, nnz of A and the entries SuperLU stores
+        for L and U, the explicit zeros of its supernodes included; read
+        without copying the factors, unlike lu.L and lu.U."""
+        return {"ordering": self.ordering, "nnz_A": self.nnz,
+                "nnz_LU": self.lu.nnz}
 
 
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix, or a SystemMatrix wrapper; one that
-    names a mirror_mesh is factored in that mesh's mirror basis."""
+    names a mirror_mesh is factored in that mesh's mirror basis, in the
+    column order of mirror_orbits when that is nested dissection."""
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
-    basis = None
+    basis, ordering = None, "mmd"
     if getattr(A, "mirror_mesh", None) is not None:
         orbits = mirror_orbits(A.mirror_mesh)
         mat = sector_blocks(mat, orbits)
         basis = (orbits.Q, orbits.Q.T.tocsr())
+        ordering = orbits.ordering
     try:
-        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(mat, permc_spec={"mmd": "MMD_AT_PLUS_A",
+                                        "nested_dissection": "NATURAL"}[ordering])
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
-    return Factorization(lu=lu, n=n, nnz=nnz, basis=basis)
+    return Factorization(lu=lu, n=n, nnz=nnz, basis=basis, ordering=ordering)
 
 
 # the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
@@ -110,24 +125,35 @@ class MirrorOrbits(NamedTuple):
     rep: np.ndarray     # (n_cells,) representative of each cell's orbit
     size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
     image: np.ndarray   # (3, n_cells) image of each cell under mirror a
+    ordering: str       # "nested_dissection" or "mmd", to factor B with
 
 
 def mirror_orbits(mesh) -> MirrorOrbits:
     """Orbit table of the mesh's mirrors.  Along one axis, cells i and
     L-1-i make an even and an odd combination numbered min(i, L-1-i), the
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
-    Q stays square.  A sector's columns go by local dof, then by orbit."""
+    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2.
+    From L = NESTED_MIN_L on, a sector's columns go by representative in
+    nested-dissection order of that box, then by local dof; below it they
+    go by local dof, then by representative in index order."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
+    R, nested = (L + 1) // 2, L >= NESTED_MIN_L
     i = np.arange(L)
     ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
     half = np.minimum(i, L - 1 - i)[ijk]                     # (3, n_cells)
     weight = np.array([np.ones(L), np.sign(L - 1 - 2 * i)])  # [parity, i]
     parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ _MIRROR_ODD.T
-    ncol = np.array([(L + 1) // 2, L // 2])[parity]    # (sector, loc, axis)
-    count = ncol.prod(axis=2)
-    column = (np.cumsum(count).reshape(count.shape) - count
-              + (half[0, :, None, None] * ncol[..., 1] + half[1, :, None, None])
-              * ncol[..., 2] + half[2, :, None, None])
+    ncol = np.array([R, L // 2])[parity]               # (sector, loc, axis)
+    box = np.stack(np.unravel_index(np.arange(R ** 3), (R,) * 3), axis=1)
+    box = _dissection(box) if nested else box   # representatives in order
+    at = np.empty((R,) * 3, dtype=np.intp)      # each one's place in box
+    at[tuple(box.T)] = np.arange(R ** 3)
+    # has[s, loc, c]: the c-th representative has a column in (s, loc);
+    # columns are counted off cell-major under nested dissection
+    axes = (0, 2, 1) if nested else (0, 1, 2)
+    has = np.all(box < ncol[:, :, None], axis=3).transpose(axes)
+    num = (np.cumsum(has).reshape(has.shape) - 1).transpose(axes)
+    column = num[:, :, at[tuple(half)]].transpose(2, 0, 1)
     sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
     dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
     v = sign[:, :, src] * _CENTRE[dst, src]
@@ -136,10 +162,25 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
                                      column[:, :, src][v != 0])), shape=(n, n)),
         column=column, sign=sign,
-        sector=np.repeat(np.arange(8), count.sum(axis=1)),
+        sector=np.repeat(np.arange(8), has.sum(axis=(1, 2))),
         rep=np.ravel_multi_index(half, (L,) * 3),
         size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
-        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
+        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1],
+        ordering="nested_dissection" if nested else "mmd")
+
+
+def _dissection(cells: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of a box of cells, (k, 3) coordinates in
+    index order: bisect the box across its longest axis, then number the
+    lower half, the upper half, and last the one-cell separator between
+    them in index order; the halves recurse down to single cells."""
+    if len(cells) <= 1:
+        return cells
+    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
+    a = np.argmax(hi - lo)
+    mid, x = (lo[a] + hi[a]) // 2, cells[:, a]
+    return np.concatenate([_dissection(cells[x < mid]),
+                           _dissection(cells[x > mid]), cells[x == mid]])
 
 
 def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:

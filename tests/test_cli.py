@@ -145,6 +145,7 @@ def test_reference_run_records_no_matrix_hash(tmp_path, monkeypatch):
                     "--samples", 2, "--modes", 1, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "matrix_hash" in manifest and manifest["matrix_hash"] is None
+    assert manifest["diagnostics"]["factor"]["ordering"] == "mmd"
 
 
 def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
@@ -159,9 +160,13 @@ def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
         manifest = json.loads((out / "manifest.json").read_text(),
                               parse_constant=no_constant)
         diagnostics[command[0]] = manifest["diagnostics"]
-    # both commands record the multi-modes run's norms and contraction
+    # both commands record the multi-modes run's norms, contraction and factor
     assert diagnostics["run"] == diagnostics["compare"]
-    assert set(diagnostics["run"]) == {"mode_l2_norms", "even_contraction"}
+    assert set(diagnostics["run"]) == {"mode_l2_norms", "even_contraction",
+                                       "factor"}
+    factor = diagnostics["run"]["factor"]
+    assert set(factor) == {"ordering", "nnz_A", "nnz_LU"}
+    assert factor["ordering"] == "mmd" and factor["nnz_LU"] > 0
     assert len(diagnostics["run"]["mode_l2_norms"]) == 5
     contraction = diagnostics["run"]["even_contraction"]
     assert len(contraction) == 2

@@ -122,6 +122,70 @@ def test_reproducibility_and_worker_invariance():
     assert np.array_equal(s1.psi.coeffs, s2.psi.coeffs)
 
 
+@pytest.mark.parametrize("M", [5, 37])
+def test_worker_invariance_under_nested_dissection(M):
+    # L=6 factors the sector blocks in nested-dissection order
+    cfg = RunConfig(L=6, M=M, N=3, seed=11)
+    runs = [run_multimodes(dataclasses.replace(cfg, workers=w))
+            for w in (1, 2, 3, 1)]
+    assert runs[0].diagnostics["factor"]["ordering"] == "nested_dissection"
+    for r in runs[1:]:
+        assert np.array_equal(r.psi.coeffs, runs[0].psi.coeffs)
+        assert r.diagnostics == runs[0].diagnostics
+
+
+@pytest.mark.parametrize("L", [5, 6])
+@pytest.mark.parametrize("field", FIELD_KINDS)
+def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
+                                                          monkeypatch):
+    # the mirror-basis factor in nested-dissection order and the coupled
+    # minimum-degree factor of A_h give the same means up to round-off
+    import scipy.sparse.linalg as spla
+
+    from mmdg import linalg
+
+    cfg = RunConfig(L=L, M=20, N=3, field=field, seed=3)
+    nested = run_multimodes(cfg)
+
+    def coupled(A):
+        return linalg.Factorization(
+            lu=spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A"), n=A.n,
+            nnz=A.matrix.nnz)
+
+    monkeypatch.setattr(linalg, "factorize", coupled)
+    ref = run_multimodes(cfg)
+    assert nested.diagnostics["factor"]["ordering"] == "nested_dissection"
+    assert ref.diagnostics["factor"]["ordering"] == "mmd"
+    assert (nested.diagnostics["factor"]["nnz_A"]
+            == ref.diagnostics["factor"]["nnz_A"])
+    for a, b in zip([nested.psi, *nested.mode_means],
+                    [ref.psi, *ref.mode_means]):
+        assert diff_norm(a, b) <= 1e-10 * l2_norm(b)
+
+
+def test_factor_is_recorded_by_both_drivers(monkeypatch):
+    # the multi-modes run records its one factor, the reference its
+    # first sample's, in one schema
+    from mmdg import linalg
+
+    factors = []
+    factorize = linalg.factorize
+
+    def recording_factorize(A):
+        factors.append(factorize(A))
+        return factors[-1]
+
+    monkeypatch.setattr(linalg, "factorize", recording_factorize)
+    cfg = dataclasses.replace(SMALL, M=4)
+    assert run_multimodes(cfg).diagnostics["factor"] == factors[0].stats
+    factors.clear()
+    first = run_standard(dataclasses.replace(cfg, M=1)).diagnostics["factor"]
+    assert first == factors[0].stats
+    assert set(first) == {"ordering", "nnz_A", "nnz_LU"}
+    res = run_standard(dataclasses.replace(cfg, workers=2))
+    assert res.diagnostics["factor"] == first
+
+
 def test_common_random_numbers_between_algorithms():
     # identical (seed, j) streams feed both algorithms
     cfg = dataclasses.replace(SMALL, M=2)
@@ -202,7 +266,9 @@ def test_large_eps_runs_without_warning():
     assert not caught
     assert np.all(np.isfinite(r.psi.coeffs))
     norms = [l2_norm(phi) for phi in r.mode_means]
-    assert r.diagnostics == {
+    health = dict(r.diagnostics)
+    assert health.pop("factor")["ordering"] == "mmd"
+    assert health == {
         "mode_l2_norms": norms,
         "even_contraction": [cfg.epsilon ** 2 * norms[2] / norms[0]]}
 
@@ -217,8 +283,10 @@ def test_default_runs_emit_no_warning():
     assert len(res_mm.diagnostics["mode_l2_norms"]) == RunConfig().N + 1
     assert len(res_mm.diagnostics["even_contraction"]) == 2
     assert 0.0 < max(res_mm.diagnostics["even_contraction"]) < 1.0
-    assert res_std.diagnostics == {"mode_l2_norms": [l2_norm(res_std.psi)],
-                                   "even_contraction": []}
+    health = dict(res_std.diagnostics)
+    assert health.pop("factor")["ordering"] == "mmd"
+    assert health == {"mode_l2_norms": [l2_norm(res_std.psi)],
+                      "even_contraction": []}
 
 
 def _scale_eta(monkeypatch, factor):

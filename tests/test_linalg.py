@@ -160,8 +160,9 @@ def test_block_solve_shape_mismatch():
 
 
 def test_ordering_keeps_fill_low():
-    # the mirror-block factor fills A_h 1.34x at L=4; the coupled factor
-    # filled it 6.3x with minimum degree on A + A^T and 10.2x with COLAMD
+    # the mirror-block factor, ordered by minimum degree below L=5, fills
+    # A_h 1.34x at L=4 (25 427 entries); the coupled factor filled it 6.3x
+    # with minimum degree on A + A^T and 10.2x with COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     nnz_lu = fact.lu.L.nnz + fact.lu.U.nnz
@@ -170,9 +171,10 @@ def test_ordering_keeps_fill_low():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_mirror_blocks_cut_the_fill(L):
-    # factoring the 8 mirror sectors apart fills ~0.22x (L=4) and ~0.24x
-    # (L=6) of the coupled factor, so a silent return to the coupled
-    # factor fails here without any timing
+    # factoring the 8 mirror sectors apart fills 0.21x of the coupled
+    # factor at L=4 (minimum degree) and 0.17x at L=6 (nested dissection,
+    # from L=5 on), so a silent return to the coupled factor fails here
+    # without any timing
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     coupled = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A")
@@ -200,9 +202,10 @@ def test_mirror_solve_matches_coupled_solve():
     assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 8])
 def test_mirror_basis_is_square_and_grouped(L):
-    orbits = mirror_orbits(build_uniform_mesh(L))
+    mesh = build_uniform_mesh(L)
+    orbits = mirror_orbits(mesh)
     Q, sector = orbits.Q, orbits.sector
     assert Q.shape == (12 * L**3, 12 * L**3)
     assert np.all(np.diff(sector) >= 0)
@@ -212,6 +215,62 @@ def test_mirror_basis_is_square_and_grouped(L):
         assert sizes.tolist() == [3, 1, 1, 2, 1, 2, 2, 0]
     if L <= 3:
         assert np.linalg.matrix_rank(Q.toarray()) == 12 * L**3
+    # the representatives' columns number each column once, in its sector
+    reps = orbits.rep == np.arange(mesh.n_cells)
+    has = orbits.sign[reps] != 0
+    columns = orbits.column[reps][has]
+    assert np.array_equal(np.sort(columns), np.arange(12 * L**3))
+    assert np.array_equal(sector[columns], np.nonzero(has)[1])
+    assert orbits.ordering == ("nested_dissection" if L >= 5 else "mmd")
+    again = mirror_orbits(mesh)
+    assert np.array_equal(again.column, orbits.column)
+    assert all(np.array_equal(getattr(again.Q, a), getattr(Q, a))
+               for a in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 4, 5])
+def test_dissection_numbers_the_separator_last(R):
+    box = np.stack(np.unravel_index(np.arange(R**3), (R,) * 3), axis=1)
+    order = linalg._dissection(box)
+    assert sorted(map(tuple, order)) == list(map(tuple, box))
+    if R > 1:                        # the first cut is across axis 0
+        x, mid = order[:, 0], R // 2
+        lower, upper = np.count_nonzero(x < mid), np.count_nonzero(x > mid)
+        assert np.all(x[:lower] < mid) and np.all(x[lower:-R * R] > mid)
+        assert np.all(x[-R * R:] == mid) and lower + upper == R**3 - R * R
+        assert np.array_equal(order[-R * R:], box[box[:, 0] == mid])
+
+
+def test_nested_dissection_fills_less_than_minimum_degree():
+    # at L=6 the nested-dissection factor of the sector blocks holds
+    # 170 432 entries, against 206 993 for minimum degree on the same block
+    mesh = build_uniform_mesh(6)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    fact = linalg.factorize(A)
+    mmd = spla.splu(linalg.sector_blocks(A.matrix, mirror_orbits(mesh)),
+                    permc_spec="MMD_AT_PLUS_A")
+    assert fact.ordering == "nested_dissection"
+    assert fact.lu.L.nnz + fact.lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+    assert fact.lu.nnz <= mmd.nnz
+    assert fact.stats == {"ordering": "nested_dissection",
+                          "nnz_A": A.matrix.nnz, "nnz_LU": fact.lu.nnz}
+
+
+@pytest.mark.parametrize("L", [5, 8])
+def test_nested_dissection_backward_error(L):
+    A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+    rng = np.random.default_rng(L)
+    b = rng.normal(size=(A.n, 16)) + 1j * rng.normal(size=(A.n, 16))
+    x = linalg.solve(linalg.factorize(A), b)
+    assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_small_meshes_keep_minimum_degree():
+    A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
+    assert linalg.factorize(A).stats["ordering"] == "mmd"
+    assert linalg.factorize(A.matrix).stats == {
+        "ordering": "mmd", "nnz_A": A.matrix.nnz,
+        "nnz_LU": spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").nnz}
 
 
 @pytest.mark.parametrize("L", [2, 3])
