@@ -65,6 +65,10 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in "L M N q_f seed workers".split():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         for name in "k lam epsilon gamma0 gamma1 ell".split():
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

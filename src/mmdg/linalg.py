@@ -15,10 +15,10 @@ Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
 the (n, 2B) float64 view of a C-contiguous complex block: half the flops
 of a complex product, with bitwise the same result.
 
-From L = NESTED_MIN_L = 5 on, mirror_orbits numbers each sector's
-columns by nested dissection of its cell grid and SuperLU keeps that
-order (NATURAL); below, SuperLU orders B by minimum degree on B + B^T
-(MMD_AT_PLUS_A).  Neither joins two blocks.  nnz(L+U) is 25 427 at L=4,
+mirror_orbits numbers each sector's columns by nested dissection of its
+cell grid at every L.  From L = NESTED_MIN_L = 5 on, SuperLU keeps that
+order (NATURAL); below, it reorders B by minimum degree on B + B^T
+(MMD_AT_PLUS_A).  Neither joins two blocks.  nnz(L+U) is 26 241 at L=4,
 170 432 at L=6 and 709 184 at L=8, against 120 500, 982 000 and
 3 728 000 for the coupled factor of A_h; it can move with round-off in B,
 through pivoting.
@@ -40,8 +40,8 @@ from .dg_core import N_LOCAL
 MIRROR_TOL = 1e-12
 # Sector-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
-# Meshes this fine or finer get nested-dissection sector columns; at L=4
-# nested dissection fills 28 656 entries to minimum degree's 25 427.
+# From this L on SuperLU keeps the sector blocks' nested-dissection order;
+# at L=4 that order fills 28 656 entries to minimum degree's 26 241.
 NESTED_MIN_L = 5
 
 
@@ -51,7 +51,7 @@ class SingularMatrixError(RuntimeError):
     solvable for valid parameters."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Factorization:
     """Stored sparse LU factors P B Pc = L U.  For a mirror-invariant A,
     B is the block-diagonal sector_blocks of A and basis holds its mirror
@@ -75,7 +75,7 @@ class Factorization:
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix, or a SystemMatrix wrapper; one that
     names a mirror_mesh is factored in that mesh's mirror basis, in the
-    column order of mirror_orbits when that is nested dissection."""
+    column order of mirror_orbits from L = NESTED_MIN_L on."""
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
@@ -86,7 +86,8 @@ def factorize(A) -> Factorization:
         orbits = mirror_orbits(A.mirror_mesh)
         mat = sector_blocks(mat, orbits)
         basis = (orbits.Q, orbits.Q.T.tocsr())
-        ordering = orbits.ordering
+        if A.mirror_mesh.L >= NESTED_MIN_L:
+            ordering = "nested_dissection"
     try:
         lu = spla.splu(mat, permc_spec={"mmd": "MMD_AT_PLUS_A",
                                         "nested_dissection": "NATURAL"}[ordering])
@@ -125,19 +126,17 @@ class MirrorOrbits(NamedTuple):
     rep: np.ndarray     # (n_cells,) representative of each cell's orbit
     size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
     image: np.ndarray   # (3, n_cells) image of each cell under mirror a
-    ordering: str       # "nested_dissection" or "mmd", to factor B with
 
 
 def mirror_orbits(mesh) -> MirrorOrbits:
     """Orbit table of the mesh's mirrors.  Along one axis, cells i and
     L-1-i make an even and an odd combination numbered min(i, L-1-i), the
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
-    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2.
-    From L = NESTED_MIN_L on, a sector's columns go by representative in
-    nested-dissection order of that box, then by local dof; below it they
-    go by local dof, then by representative in index order."""
+    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2,
+    and a sector's columns go by representative in nested-dissection
+    order of that box, then by local dof."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
-    R, nested = (L + 1) // 2, L >= NESTED_MIN_L
+    R = (L + 1) // 2
     i = np.arange(L)
     ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
     half = np.minimum(i, L - 1 - i)[ijk]                     # (3, n_cells)
@@ -145,15 +144,13 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ _MIRROR_ODD.T
     ncol = np.array([R, L // 2])[parity]               # (sector, loc, axis)
     box = np.stack(np.unravel_index(np.arange(R ** 3), (R,) * 3), axis=1)
-    box = _dissection(box) if nested else box   # representatives in order
+    box = _dissection(box)                      # representatives in order
     at = np.empty((R,) * 3, dtype=np.intp)      # each one's place in box
     at[tuple(box.T)] = np.arange(R ** 3)
-    # has[s, loc, c]: the c-th representative has a column in (s, loc);
-    # columns are counted off cell-major under nested dissection
-    axes = (0, 2, 1) if nested else (0, 1, 2)
-    has = np.all(box < ncol[:, :, None], axis=3).transpose(axes)
-    num = (np.cumsum(has).reshape(has.shape) - 1).transpose(axes)
-    column = num[:, :, at[tuple(half)]].transpose(2, 0, 1)
+    # has[s, c, loc]: the c-th representative has a column in (s, loc)
+    has = np.all(box[:, None] < ncol[:, None], axis=3)
+    num = np.cumsum(has).reshape(has.shape) - 1
+    column = num[:, at[tuple(half)]].transpose(1, 0, 2)
     sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
     dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
     v = sign[:, :, src] * _CENTRE[dst, src]
@@ -165,8 +162,7 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         sector=np.repeat(np.arange(8), has.sum(axis=(1, 2))),
         rep=np.ravel_multi_index(half, (L,) * 3),
         size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
-        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1],
-        ordering="nested_dissection" if nested else "mmd")
+        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
 
 
 def _dissection(cells: np.ndarray) -> np.ndarray:

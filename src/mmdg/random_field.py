@@ -61,11 +61,10 @@ class GaussianSampler:
         try:
             self.factor = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
-            # covariance numerically singular: zero the eigenvalues at or
-            # below round-off of the largest, negative or not
-            w, V = np.linalg.eigh(C)
-            w[w <= len(w) * np.finfo(float).eps * w[-1]] = 0.0
-            self.factor = V * np.sqrt(w)
+            # covariance numerically singular: factor it by its KL basis,
+            # whose round-off eigenvalues are zeroed
+            kl = compute_kl(mesh, spec)
+            self.factor = kl.eigenvectors * np.sqrt(kl.eigenvalues)
 
     def sample(self, rng: np.random.Generator, clamp: bool = False) -> FieldSample:
         values = self.factor @ rng.standard_normal(self.mesh.n_cells)
@@ -82,7 +81,7 @@ def sample_uniform(mesh: HexMesh, rng: np.random.Generator) -> FieldSample:
 class KLBasis:
     """Discrete Karhunen-Loeve basis of the cell-center covariance."""
 
-    eigenvalues: np.ndarray    # descending, floored at 0
+    eigenvalues: np.ndarray    # descending, round-off of the largest zeroed
     eigenvectors: np.ndarray   # (n_cells, n_cells), column k matches lambda_k
     mean: np.ndarray           # background field per cell
 
@@ -100,9 +99,9 @@ class KLSample(NamedTuple):
 
 def compute_kl(mesh: HexMesh, spec: CovarianceSpec,
                mean: float | np.ndarray = 1.0) -> KLBasis:
-    C = covariance_matrix(mesh, spec)
-    w, V = np.linalg.eigh(C)                   # ascending; reverse it
-    w = np.clip(w[::-1], 0.0, None)
+    w, V = np.linalg.eigh(covariance_matrix(mesh, spec))  # ascending
+    w = w[::-1]
+    w[w <= len(w) * np.finfo(float).eps * w[0]] = 0.0  # round-off, or negative
     V = np.asfortranarray(V[:, ::-1])          # eigh's column-major layout
     mean_arr = np.broadcast_to(np.asarray(mean, dtype=float), (mesh.n_cells,)).copy()
     return KLBasis(eigenvalues=w, eigenvectors=V, mean=mean_arr)

@@ -37,6 +37,9 @@ def test_config_validation():
         dict(k=np.inf), dict(lam=np.nan), dict(gamma0=np.inf),
         dict(gamma1=np.nan), dict(ell=np.nan), dict(ell=np.inf),
         dict(seed=-1),
+        # counts must be integers, and a bool is not one
+        dict(workers=1.5), dict(M=True), dict(L=2.5), dict(N=1.5),
+        dict(seed=1.5), dict(q_f=2.5),
     ]
     # an invalid config cannot be built, directly or by replace
     for kw in bad:
@@ -134,12 +137,14 @@ def test_worker_invariance_under_nested_dissection(M):
         assert r.diagnostics == runs[0].diagnostics
 
 
-@pytest.mark.parametrize("L", [5, 6])
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
 @pytest.mark.parametrize("field", FIELD_KINDS)
 def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
                                                           monkeypatch):
-    # the mirror-basis factor in nested-dissection order and the coupled
-    # minimum-degree factor of A_h give the same means up to round-off
+    # the mirror-basis factor of the nested-dissection numbered sectors,
+    # kept in that order from L=5 on and reordered by minimum degree below,
+    # and the coupled minimum-degree factor of A_h give the same means up
+    # to round-off
     import scipy.sparse.linalg as spla
 
     from mmdg import linalg
@@ -154,7 +159,8 @@ def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
 
     monkeypatch.setattr(linalg, "factorize", coupled)
     ref = run_multimodes(cfg)
-    assert nested.diagnostics["factor"]["ordering"] == "nested_dissection"
+    assert nested.diagnostics["factor"]["ordering"] == (
+        "nested_dissection" if L >= 5 else "mmd")
     assert ref.diagnostics["factor"]["ordering"] == "mmd"
     assert (nested.diagnostics["factor"]["nnz_A"]
             == ref.diagnostics["factor"]["nnz_A"])

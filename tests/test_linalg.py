@@ -161,7 +161,7 @@ def test_block_solve_shape_mismatch():
 
 def test_ordering_keeps_fill_low():
     # the mirror-block factor, ordered by minimum degree below L=5, fills
-    # A_h 1.34x at L=4 (25 427 entries); the coupled factor filled it 6.3x
+    # A_h 1.38x at L=4 (26 241 entries); the coupled factor filled it 6.3x
     # with minimum degree on A + A^T and 10.2x with COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
@@ -171,7 +171,7 @@ def test_ordering_keeps_fill_low():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_mirror_blocks_cut_the_fill(L):
-    # factoring the 8 mirror sectors apart fills 0.21x of the coupled
+    # factoring the 8 mirror sectors apart fills 0.22x of the coupled
     # factor at L=4 (minimum degree) and 0.17x at L=6 (nested dissection,
     # from L=5 on), so a silent return to the coupled factor fails here
     # without any timing
@@ -221,7 +221,18 @@ def test_mirror_basis_is_square_and_grouped(L):
     columns = orbits.column[reps][has]
     assert np.array_equal(np.sort(columns), np.arange(12 * L**3))
     assert np.array_equal(sector[columns], np.nonzero(has)[1])
-    assert orbits.ordering == ("nested_dissection" if L >= 5 else "mmd")
+    # at every L a sector's columns run by representative in nested-
+    # dissection order of the representatives' box, then by local dof
+    R = (L + 1) // 2
+    box = np.stack(np.unravel_index(np.arange(R**3), (R,) * 3), axis=1)
+    cells = np.ravel_multi_index(linalg._dissection(box).T, (L,) * 3)
+    in_order = orbits.column[cells].transpose(1, 0, 2)
+    assert np.array_equal(in_order[orbits.sign[cells].transpose(1, 0, 2) != 0],
+                          np.arange(12 * L**3))
+    # only the factor's column ordering depends on L
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    assert linalg.factorize(A).stats["ordering"] == (
+        "nested_dissection" if L >= 5 else "mmd")
     again = mirror_orbits(mesh)
     assert np.array_equal(again.column, orbits.column)
     assert all(np.array_equal(getattr(again.Q, a), getattr(Q, a))
@@ -263,6 +274,13 @@ def test_nested_dissection_backward_error(L):
     b = rng.normal(size=(A.n, 16)) + 1j * rng.normal(size=(A.n, 16))
     x = linalg.solve(linalg.factorize(A), b)
     assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factorization_is_frozen():
+    fact = linalg.factorize(assemble_a_h(build_uniform_mesh(2), 2.0, 1.0,
+                                         10.0, 0.1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fact.basis = None
 
 
 def test_small_meshes_keep_minimum_degree():

@@ -66,6 +66,13 @@ def test_singular_covariance_falls_back_to_eigh():
         assert np.ptp(v) <= 1e-14 * np.abs(v).max()
 
 
+def test_kl_zeroes_round_off_eigenvalues():
+    # the all-ones covariance has rank one; eigh leaves ~1e-16 beside 8
+    basis = compute_kl(build_uniform_mesh(2), CovarianceSpec(1e300))
+    assert np.count_nonzero(basis.eigenvalues) == 1
+    assert basis.eigenvalues[0] == pytest.approx(8.0)
+
+
 def test_empirical_covariance_matches_exponential():
     mesh = build_uniform_mesh(3)
     sampler = GaussianSampler(mesh, CovarianceSpec(0.5))
