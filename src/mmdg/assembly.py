@@ -66,10 +66,6 @@ class SystemMatrix:
     mirror_mesh: HexMesh | None = None
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def s_part(self) -> sp.csc_matrix:
         """S, the real symmetric part of A."""
         return self.matrix.real

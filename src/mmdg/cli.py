@@ -2,7 +2,8 @@
 
 Subcommands:
   run       execute one or both algorithms, write manifest + artifacts
-  compare   common-random-numbers error/timing table over N = 0..N_max
+  compare   common-random-numbers error/timing table over N = 0..--modes,
+            optionally over a sweep of epsilon
   kl-info   eigenvalue spectrum of the discrete Karhunen-Loeve basis
 
 Outputs are data-only (CSV/JSON); plotting is left to external tools.
@@ -115,12 +116,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_manifest(outdir: Path, config: RunConfig, argv: list[str],
-                    extra: dict) -> None:
+                    results: dict[str, MCResult], **extra) -> None:
+    # one record per run, in one schema for both drivers
     manifest = {
         "version": __version__,
         "config": dataclasses.asdict(config),
         "argv": argv,
         **extra,
+        "runs": {name: {"factorizations": res.factorizations,
+                        "matrix_hash": res.matrix_hash,
+                        "timings": res.timings,
+                        "diagnostics": res.diagnostics,
+                        "field_stats": res.field_stats}
+                 for name, res in results.items()},
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -138,31 +146,18 @@ def _write_solution(path: Path, psi) -> None:
                 for i, v in enumerate(psi.coeffs)))
 
 
-def _write_timings(path: Path, named_results: dict[str, MCResult]) -> None:
-    rows = []
-    for name, res in named_results.items():
-        for stage, val in res.timings.items():
-            if stage == "per_mode_s":
-                rows += [[name, f"mode_{n}_s", repr(t)]
-                         for n, t in enumerate(val)]
-            else:
-                rows.append([name, stage, repr(val)])
-    _write_csv(path, ["algorithm", "stage", "seconds"], rows)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    outdir: Path = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "solution").mkdir(exist_ok=True)
-    (outdir / "fields").mkdir(exist_ok=True)
-
     results: dict[str, MCResult] = {}
     if args.algorithm in ("standard", "both"):
         results["standard"] = run_standard(cfg)
     if args.algorithm in ("multimodes", "both"):
         results["multimodes"] = run_multimodes(cfg)
 
+    # a run that fails writes nothing: the tree is made once the runs return
+    outdir: Path = args.out
+    (outdir / "solution").mkdir(parents=True, exist_ok=True)
+    (outdir / "fields").mkdir(exist_ok=True)
     for name, res in results.items():
         _write_solution(outdir / "solution" / f"psi_{name}.csv", res.psi)
         if res.mode_means is not None:
@@ -170,19 +165,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 _write_solution(outdir / "solution" / f"phi_{n}.csv", phi)
 
     # dump the first sample's field draws for inspection
-    any_res = next(iter(results.values()))
-    for name, sample in zip(("eta", "xi"),
-                            _FieldDraws(any_res.psi.mesh, cfg).draw(0)):
+    mesh = next(iter(results.values())).psi.mesh
+    for name, sample in zip(("eta", "xi"), _FieldDraws(mesh, cfg).draw(0)):
         _write_csv(outdir / "fields" / f"{name}_sample0.csv", ["cell", "value"],
                    ([i, repr(float(v))] for i, v in enumerate(sample.values)))
 
-    _write_timings(outdir / "timings.csv", results)
-    main_res = results.get("multimodes", any_res)
-    _write_manifest(outdir, cfg, args.argv, {
-        "algorithms": sorted(results),
-        "matrix_hash": main_res.matrix_hash,
-        "diagnostics": main_res.diagnostics,
-    })
+    _write_manifest(outdir, cfg, args.argv, results)
     for name, res in results.items():
         c = res.diagnostics["even_contraction"]
         print(f"{name}: factorizations={res.factorizations} "
@@ -193,21 +181,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    if args.max_modes is not None:      # the runs and the manifest use it
-        cfg = dataclasses.replace(cfg, N=args.max_modes)
-    outdir: Path = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    if args.eps_sweep:
-        eps_list = PRESET_EPS_SWEEP
-    else:
-        eps_list = [cfg.epsilon]
-
+    eps_list = PRESET_EPS_SWEEP if args.eps_sweep else [cfg.epsilon]
     all_rows = []
-    results = {}
+    results: dict[str, MCResult] = {}
     for eps in eps_list:
         cfg_eps = dataclasses.replace(cfg, epsilon=eps)
-        res_std = results[f"standard_eps{eps}"] = run_standard(cfg_eps)
+        name = f"standard_eps{eps}" if args.eps_sweep else "standard"
+        res_std = results[name] = run_standard(cfg_eps)
         if "multimodes" not in results:     # its modes serve every epsilon
             results["multimodes"] = run_multimodes(cfg_eps)
         rows = _error_rows(res_std, results["multimodes"])
@@ -215,18 +195,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             r["epsilon"] = eps
         all_rows.extend(rows)
 
+    outdir: Path = args.out
+    outdir.mkdir(parents=True, exist_ok=True)
     header = ERRORS_HEADER + (["epsilon"] if len(eps_list) > 1 else [])
     _write_csv(outdir / "errors.csv", header,
                ([r["N"]] + [repr(r[key]) for key in header[1:]]
                 for r in all_rows))
-    _write_timings(outdir / "timings.csv", results)
-    _write_manifest(outdir, cfg, args.argv, {
-        "command": "compare",
-        "N_max": cfg.N,
-        "eps_sweep": eps_list,
-        "matrix_hash": results["multimodes"].matrix_hash,
-        "diagnostics": results["multimodes"].diagnostics,
-    })
+    _write_manifest(outdir, cfg, args.argv, results, eps_sweep=eps_list)
     for r in all_rows:
         print(f"N={r['N']} l2_error={r['l2_error']:.6e} "
               f"eps^N={r['eps_pow_N']:.3e}")
@@ -272,7 +247,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compare", help="error/timing table over N")
     _add_config_flags(pc)
-    pc.add_argument("--max-modes", type=int, default=None)
     pc.add_argument("--eps-sweep", action="store_true",
                     help="sweep epsilon over 0.1, 0.3, 0.5, 0.7, 0.9")
     pc.set_defaults(func=cmd_compare)

@@ -36,14 +36,6 @@ class HexMesh:
         return self.L ** 3
 
     @property
-    def n_interior_faces(self) -> int:
-        return len(self.iface_owner)
-
-    @property
-    def n_boundary_faces(self) -> int:
-        return len(self.bface_cell)
-
-    @property
     def cell_volume(self) -> float:
         return self.h ** 3
 

@@ -82,7 +82,7 @@ def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
         return out
 
     # interior faces
-    for f in range(mesh.n_interior_faces):
+    for f in range(len(mesh.iface_owner)):
         own = int(mesh.iface_owner[f])
         nb = int(mesh.iface_neighbor[f])
         axis = int(mesh.iface_axis[f])
@@ -118,7 +118,7 @@ def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
                         P[gi, gj] += gamma1 * h * h * h * (jc_j @ jc_i)
 
     # boundary tangential mass
-    for f in range(mesh.n_boundary_faces):
+    for f in range(len(mesh.bface_cell)):
         cell = int(mesh.bface_cell[f])
         axis = int(mesh.bface_axis[f])
         side = int(mesh.bface_side[f])

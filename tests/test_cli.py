@@ -29,11 +29,13 @@ def test_run_multimodes_smoke(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["L"] == 4
     assert manifest["config"]["seed"] == 7
-    assert "matrix_hash" in manifest
+    assert set(manifest["runs"]) == {"multimodes"}
+    assert manifest["runs"]["multimodes"]["factorizations"] == 1
     assert (out / "solution" / "psi_multimodes.csv").exists()
     assert (out / "solution" / "phi_4.csv").exists()
     assert (out / "fields" / "eta_sample0.csv").exists()
-    assert (out / "timings.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fields", "manifest.json", "solution"]
 
 
 def _read_solution(path):
@@ -61,7 +63,7 @@ def test_eps_zero_algorithms_agree(tmp_path):
 def test_compare_preset_desk_scale(tmp_path):
     out = tmp_path / "cmp"
     rc = run_cli(["compare", "--preset", "paper-smooth", "--L", 3,
-                  "--samples", 5, "--max-modes", 6, "--seed", 2,
+                  "--samples", 5, "--modes", 6, "--seed", 2,
                   "--out", out])
     assert rc == 0
     with open(out / "errors.csv") as fh:
@@ -87,7 +89,7 @@ def test_compare_eps_sweep_runs_multimodes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "run_multimodes", counting)
     monkeypatch.setattr(cli, "run_multimodes", counting)
     out = tmp_path / "sweep"
-    rc = run_cli(["compare", "--L", 2, "--samples", 3, "--max-modes", 2,
+    rc = run_cli(["compare", "--L", 2, "--samples", 3, "--modes", 2,
                   "--seed", 5, "--eps-sweep", "--out", out])
     assert rc == 0
     assert len(calls) == 1
@@ -102,10 +104,12 @@ def test_compare_eps_sweep_runs_multimodes_once(tmp_path, monkeypatch):
         for r, g in zip(ref, rows[1 + 3 * i: 4 + 3 * i], strict=True):
             assert [int(g[0]), float(g[1]), float(g[2]), float(g[6])] == [
                 r["N"], r["l2_error"], r["dg_error"], eps]
-    with open(out / "timings.csv") as fh:
-        labels = {row[0] for row in list(csv.reader(fh))[1:]}
-    assert labels == {"multimodes"} | {f"standard_eps{e}" for e in
-                                        PRESET_EPS_SWEEP}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["eps_sweep"] == PRESET_EPS_SWEEP
+    assert set(manifest["runs"]) == {"multimodes"} | {
+        f"standard_eps{e}" for e in PRESET_EPS_SWEEP}
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv",
+                                                     "manifest.json"]
 
 
 @pytest.mark.parametrize("command", [["compare"], ["run", "--algorithm", "both"]],
@@ -128,7 +132,7 @@ def test_manifest_hash_reuses_the_runs_a_h(tmp_path, monkeypatch, command):
     assert len(calls) == 1           # the multimodes run's own A_h
     manifest = json.loads((out / "manifest.json").read_text())
     cfg = RunConfig(k=3.0)
-    assert manifest["matrix_hash"] == assemble_a_h(
+    assert manifest["runs"]["multimodes"]["matrix_hash"] == assemble_a_h(
         build_uniform_mesh(3), cfg.k, cfg.lam, cfg.gamma0, cfg.gamma1
     ).content_hash()
 
@@ -143,9 +147,11 @@ def test_reference_run_records_no_matrix_hash(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli(["run", "--algorithm", "standard", "--L", 2,
                     "--samples", 2, "--modes", 1, "--out", out]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "matrix_hash" in manifest and manifest["matrix_hash"] is None
-    assert manifest["diagnostics"]["factor"]["ordering"] == "mmd"
+    record = json.loads((out / "manifest.json").read_text())["runs"]
+    assert set(record) == {"standard"}
+    assert "matrix_hash" in record["standard"]
+    assert record["standard"]["matrix_hash"] is None
+    assert record["standard"]["diagnostics"]["factor"]["ordering"] == "mmd"
 
 
 def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
@@ -159,28 +165,104 @@ def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
                         "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text(),
                               parse_constant=no_constant)
-        diagnostics[command[0]] = manifest["diagnostics"]
-    # both commands record the multi-modes run's norms, contraction and factor
+        diagnostics[command[0]] = {name: run["diagnostics"]
+                                   for name, run in manifest["runs"].items()}
+    # both commands record both runs' norms, contraction and factor
     assert diagnostics["run"] == diagnostics["compare"]
-    assert set(diagnostics["run"]) == {"mode_l2_norms", "even_contraction",
-                                       "factor"}
-    factor = diagnostics["run"]["factor"]
+    mm = diagnostics["run"]["multimodes"]
+    assert set(mm) == {"mode_l2_norms", "even_contraction", "factor"}
+    factor = mm["factor"]
     assert set(factor) == {"ordering", "nnz_A", "nnz_LU"}
     assert factor["ordering"] == "mmd" and factor["nnz_LU"] > 0
-    assert len(diagnostics["run"]["mode_l2_norms"]) == 5
-    contraction = diagnostics["run"]["even_contraction"]
+    assert len(mm["mode_l2_norms"]) == 5
+    assert len(diagnostics["run"]["standard"]["mode_l2_norms"]) == 1
+    contraction = mm["even_contraction"]
     assert len(contraction) == 2
     printed = capsys.readouterr().out
     assert f"max_even_contraction={max(contraction):.3g}" in printed
 
 
+RUN_FIELDS = {"factorizations", "matrix_hash", "timings", "diagnostics",
+              "field_stats"}
+
+
+def test_run_both_records_both_runs(tmp_path):
+    from mmdg.assembly import assemble_a_h
+
+    out = tmp_path / "out"
+    assert run_cli(["run", "--algorithm", "both", "--L", 2, "--samples", 3,
+                    "--modes", 1, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"version", "config", "argv", "runs"}
+    runs = manifest["runs"]
+    assert set(runs) == {"standard", "multimodes"}
+    assert all(set(run) == RUN_FIELDS for run in runs.values())
+    # the reference factors once per sample and builds no A_h
+    std = runs["standard"]
+    assert std["factorizations"] == 3 and std["matrix_hash"] is None
+    assert std["diagnostics"]["factor"]["ordering"] == "mmd"
+    # the multi-modes run factors A_h once
+    mm = runs["multimodes"]
+    cfg = RunConfig()
+    assert mm["factorizations"] == 1
+    assert mm["matrix_hash"] == assemble_a_h(
+        build_uniform_mesh(2), cfg.k, cfg.lam, cfg.gamma0, cfg.gamma1
+    ).content_hash()
+    assert set(mm["timings"]) == set(std["timings"]) | {"assembly_s",
+                                                        "factorization_s"}
+
+
+def _bits(timings):
+    return {stage: np.asarray(val, dtype=float).tobytes()
+            for stage, val in timings.items()}
+
+
+@pytest.mark.parametrize("command", [["run", "--algorithm", "both"],
+                                     ["compare", "--eps-sweep"]],
+                         ids=["run-both", "compare-sweep"])
+def test_manifest_records_each_run_bitwise(tmp_path, monkeypatch, command):
+    from mmdg import cli
+
+    sweep = "--eps-sweep" in command
+    made = {}
+
+    def capturing(name, run):
+        def wrapped(config):
+            key = (f"standard_eps{config.epsilon}"
+                   if sweep and name == "standard" else name)
+            made[key] = run(config)
+            return made[key]
+        return wrapped
+
+    for name in ("standard", "multimodes"):
+        monkeypatch.setattr(cli, f"run_{name}",
+                            capturing(name, getattr(cli, f"run_{name}")))
+    out = tmp_path / "out"
+    assert run_cli([*command, "--L", 2, "--samples", 2, "--modes", 1,
+                    "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == ({"version", "config", "argv", "runs"}
+                             | ({"eps_sweep"} if sweep else set()))
+    assert set(manifest["runs"]) == set(made)
+    for name, res in made.items():
+        run = manifest["runs"][name]
+        assert set(run) == RUN_FIELDS
+        assert _bits(run["timings"]) == _bits(res.timings)
+        assert run["factorizations"] == res.factorizations
+        assert run["matrix_hash"] == res.matrix_hash
+        assert run["diagnostics"] == res.diagnostics
+        assert run["field_stats"] == res.field_stats
+
+
 def test_compare_manifest_records_the_modes_it_ran(tmp_path):
     out = tmp_path / "cmp"
-    assert run_cli(["compare", "--L", 2, "--samples", 2, "--modes", 3,
-                    "--max-modes", 1, "--out", out]) == 0
+    assert run_cli(["compare", "--L", 2, "--samples", 2, "--modes", 1,
+                    "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["N"] == manifest["N_max"] == 1
-    assert len(manifest["diagnostics"]["mode_l2_norms"]) == 2
+    assert manifest["config"]["N"] == 1
+    runs = manifest["runs"]
+    assert len(runs["multimodes"]["diagnostics"]["mode_l2_norms"]) == 2
+    assert len(runs["multimodes"]["timings"]["per_mode_s"]) == 2
 
 
 def test_golden_csv_headers(tmp_path):
@@ -189,9 +271,6 @@ def test_golden_csv_headers(tmp_path):
                              "time_multimodes_s", "time_standard_s"]
     out = tmp_path / "t"
     run_cli(["run", "--L", 2, "--samples", 1, "--modes", 1, "--out", out])
-    with open(out / "timings.csv") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["algorithm", "stage", "seconds"]
     with open(out / "fields" / "eta_sample0.csv") as fh:
         assert next(csv.reader(fh)) == ["cell", "value"]
     with open(out / "solution" / "psi_multimodes.csv") as fh:
@@ -217,14 +296,18 @@ def test_non_finite_config_exit_code(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_compare_bad_max_modes_writes_nothing(tmp_path, capsys):
-    # --max-modes replaces N after the flags are read; the replaced config
-    # is refused before the output directory is made
+def test_compare_bad_modes_writes_nothing(tmp_path, capsys):
+    # an invalid config is refused before the output directory is made
     out = tmp_path / "x"
-    rc = run_cli(["compare", "--L", 2, "--samples", 2, "--max-modes", -1,
+    rc = run_cli(["compare", "--L", 2, "--samples", 2, "--modes", -1,
                   "--out", out])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    # --modes is the one flag that sets N
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["compare", "--max-modes", 2, "--out", out])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -293,9 +376,11 @@ def test_non_finite_solution_exit_code(tmp_path, monkeypatch):
                        dtype=complex)
 
     monkeypatch.setattr(driver, "assemble_oscillatory_load", nan_load)
+    out = tmp_path / "x"
     rc = run_cli(["run", "--L", 2, "--samples", 2, "--modes", 1,
-                  "--out", tmp_path / "x"])
+                  "--out", out])
     assert rc == 3
+    assert not out.exists()            # a failed run writes nothing
 
 
 def test_singular_matrix_exit_code(tmp_path, monkeypatch, capsys):
@@ -305,12 +390,14 @@ def test_singular_matrix_exit_code(tmp_path, monkeypatch, capsys):
         raise linalg.SingularMatrixError("matrix is numerically singular")
 
     monkeypatch.setattr(linalg, "factorize", singular)
-    for algorithm in ("multimodes", "standard"):
-        rc = run_cli(["run", "--algorithm", algorithm, "--L", 2,
-                      "--samples", 2, "--modes", 1,
-                      "--out", tmp_path / algorithm])
+    for command in (["run", "--algorithm", "multimodes"],
+                    ["run", "--algorithm", "standard"], ["compare"]):
+        out = tmp_path / command[-1]
+        rc = run_cli([*command, "--L", 2, "--samples", 2, "--modes", 1,
+                      "--out", out])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()        # a failed run writes nothing
 
 
 @pytest.mark.parametrize("line", ["C0_user = 1.0", "Chat0_user = 1.0",
@@ -369,7 +456,8 @@ def test_manifest_reproducibility(tmp_path):
                  "--seed", 5, "--out", out])
         manifest = json.loads((out / "manifest.json").read_text())
         data = (out / "solution" / "psi_multimodes.csv").read_bytes()
-        hashes.append((manifest["matrix_hash"], hashlib.sha256(data).hexdigest()))
+        hashes.append((manifest["runs"]["multimodes"]["matrix_hash"],
+                       hashlib.sha256(data).hexdigest()))
     assert hashes[0] == hashes[1]
 
 

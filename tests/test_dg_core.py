@@ -164,7 +164,7 @@ def test_indicator_j0_against_face_by_face_oracle():
     # jump is the constant (1,0,0) with its normal component dropped;
     # integral of |jump_T|^2 over the face is area * (0 or 1)
     expected = 0.0
-    for face in range(m.n_interior_faces):
+    for face in range(len(m.iface_owner)):
         if cell in (m.iface_owner[face], m.iface_neighbor[face]):
             axis = m.iface_axis[face]
             jt_sq = 0.0 if axis == 0 else 1.0  # component 1 dropped on x-faces

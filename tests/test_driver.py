@@ -154,7 +154,8 @@ def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
 
     def coupled(A):
         return linalg.Factorization(
-            lu=spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A"), n=A.n,
+            lu=spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A"),
+            n=A.matrix.shape[0],
             nnz=A.matrix.nnz)
 
     monkeypatch.setattr(linalg, "factorize", coupled)

@@ -35,8 +35,8 @@ def brute_force_faces(L):
 def test_counts(L, cells, ifaces, bfaces):
     m = build_uniform_mesh(L)
     assert m.n_cells == cells == L ** 3
-    assert m.n_interior_faces == ifaces == 3 * L * L * (L - 1)
-    assert m.n_boundary_faces == bfaces == 6 * L * L
+    assert len(m.iface_owner) == ifaces == 3 * L * L * (L - 1)
+    assert len(m.bface_cell) == bfaces == 6 * L * L
 
 
 def test_paper_mesh_size():
@@ -56,7 +56,7 @@ def test_faces_match_brute_force(L):
     got = sorted(zip(m.iface_owner.tolist(), m.iface_neighbor.tolist(),
                      m.iface_axis.tolist()))
     assert got == sorted(expected)
-    assert m.n_boundary_faces == n_boundary
+    assert len(m.bface_cell) == n_boundary
 
 
 def test_volume_tiles_unit_cube():
@@ -70,7 +70,7 @@ def test_owner_label_larger_and_normal_outward():
     assert np.all(m.iface_owner > m.iface_neighbor)
     # owner's face sits on its low-coordinate side along the face axis, so
     # the geometric outward normal of the owner is -e_axis
-    for f in range(m.n_interior_faces):
+    for f in range(len(m.iface_owner)):
         axis = m.iface_axis[f]
         own_c = m.cell_centers[m.iface_owner[f]]
         nb_c = m.cell_centers[m.iface_neighbor[f]]
@@ -82,7 +82,7 @@ def test_owner_label_larger_and_normal_outward():
 
 def test_boundary_normals_point_out_of_domain():
     m = build_uniform_mesh(2)
-    for f in range(m.n_boundary_faces):
+    for f in range(len(m.bface_cell)):
         c = m.cell_centers[m.bface_cell[f]]
         normal = np.zeros(3)
         normal[m.bface_axis[f]] = -1.0 if m.bface_side[f] == 0 else 1.0
@@ -94,7 +94,7 @@ def test_boundary_normals_point_out_of_domain():
 def test_interior_faces_shared_by_exactly_two_cells():
     m = build_uniform_mesh(3)
     seen = set()
-    for f in range(m.n_interior_faces):
+    for f in range(len(m.iface_owner)):
         key = (min(m.iface_owner[f], m.iface_neighbor[f]),
                max(m.iface_owner[f], m.iface_neighbor[f]))
         assert key not in seen
