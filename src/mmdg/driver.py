@@ -244,59 +244,76 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
 def run_standard(config: RunConfig) -> MCResult:
     """Per-sample assembly and factorization; the reference estimator.
     Blocks hold one sample each, so workers > 1 stay busy at small M.  The
-    diagnostics record sample 0's factor."""
-    t_start = time.perf_counter()
-    mesh = build_uniform_mesh(config.L)
-    draws = _FieldDraws(mesh, config)
-    first_factor = {}
+    diagnostics record sample 0's factor and backward error."""
+    with linalg.one_blas_thread() as blas_threads:
+        t_start = time.perf_counter()
+        mesh = build_uniform_mesh(config.L)
+        draws = _FieldDraws(mesh, config)
+        first = {}
 
-    def solve_block(block, etas, xis):
-        alpha = 1.0 + config.epsilon * etas[:, 0]
-        A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
-                              config.gamma1, alpha)
-        b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
-        fact = linalg.factorize(A)
-        if block.start == 0:
-            first_factor.update(fact.stats)
-        yield linalg.solve(fact, b)
+        def solve_block(block, etas, xis):
+            alpha = 1.0 + config.epsilon * etas[:, 0]
+            A = assemble_standard(mesh, config.k, config.lam, config.gamma0,
+                                  config.gamma1, alpha)
+            b = assemble_oscillatory_load(mesh, xis[:, 0], config.k, config.q_f)
+            fact = linalg.factorize(A)
+            x = linalg.solve(fact, b)
+            if block.start == 0:
+                first.update(factor=fact.stats,
+                             backward_error=linalg.backward_error(A, x, b))
+            yield x
 
-    res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
-    return replace(res, mode_means=None, factorizations=config.M,
-                   diagnostics={**res.diagnostics, "factor": first_factor})
+        res = _monte_carlo(config, draws, t_start, 1, 1, solve_block)
+        return replace(res, mode_means=None, factorizations=config.M,
+                       diagnostics={**res.diagnostics, **first,
+                                    "blas_threads": blas_threads})
 
 
 def run_multimodes(config: RunConfig) -> MCResult:
     """Accelerated algorithm: one deterministic matrix, one LU
     factorization, then per block of SAMPLE_BLOCK samples one load call,
     N block triangular solves with recursive sources for modes 0..N-1 and
-    one single-column solve of the summed mode-N sources."""
-    t_start = time.perf_counter()
-    mesh = build_uniform_mesh(config.L)
-    draws = _FieldDraws(mesh, config)
+    one single-column solve of the summed mode-N sources.  The diagnostics
+    record the factor and the backward error of sample 0's mode 0 (with
+    N = 0, of the first block's summed load)."""
+    with linalg.one_blas_thread() as blas_threads:
+        t_start = time.perf_counter()
+        mesh = build_uniform_mesh(config.L)
+        draws = _FieldDraws(mesh, config)
 
-    t0 = time.perf_counter()
-    A = assemble_a_h(mesh, config.k, config.lam, config.gamma0, config.gamma1)
-    t_assembly = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fact = linalg.factorize(A)
-    t_factor = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        A = assemble_a_h(mesh, config.k, config.lam, config.gamma0,
+                         config.gamma1)
+        t_assembly = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        fact = linalg.factorize(A)
+        t_factor = time.perf_counter() - t0
+        first = {}
 
-    def solve_block(block, etas, xis):
-        b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
-        e_prev = e_prev2 = np.zeros_like(b)
-        for _ in range(config.N):
+        def solve_block(block, etas, xis):
+            b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
+            e_prev = e_prev2 = np.zeros_like(b)
+            for n in range(config.N):
+                x = linalg.solve(fact, b)
+                if block.start == n == 0:
+                    first["backward_error"] = linalg.backward_error(
+                        A, x[:, 0], b[:, 0])
+                yield x.sum(axis=1)
+                e_prev2, e_prev = e_prev, x
+                b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
+            b = b.sum(axis=1)
             x = linalg.solve(fact, b)
-            yield x.sum(axis=1)
-            e_prev2, e_prev = e_prev, x
-            b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
-        yield linalg.solve(fact, b.sum(axis=1))
+            if block.start == config.N == 0:   # mode 0 is this summed solve
+                first["backward_error"] = linalg.backward_error(A, x, b)
+            yield x
 
-    res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK, config.N + 1,
-                       solve_block)
-    return replace(res, timings={**res.timings, "assembly_s": t_assembly,
-                                 "factorization_s": t_factor},
-                   diagnostics={**res.diagnostics, "factor": fact.stats},
-                   factorizations=1, matrix_hash=A.content_hash())
+        res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK,
+                           config.N + 1, solve_block)
+        return replace(res, timings={**res.timings, "assembly_s": t_assembly,
+                                     "factorization_s": t_factor},
+                       diagnostics={**res.diagnostics, "factor": fact.stats,
+                                    **first, "blas_threads": blas_threads},
+                       factorizations=1, matrix_hash=A.content_hash())
 
 
 def _mode_sum(mode_means: list[DGField], eps: float, N: int) -> np.ndarray:

@@ -22,10 +22,20 @@ order (NATURAL); below, it reorders B by minimum degree on B + B^T
 170 432 at L=6 and 709 184 at L=8, against 120 500, 982 000 and
 3 728 000 for the coupled factor of A_h; it can move with round-off in B,
 through pivoting.
+
+one_blas_thread holds every OpenBLAS the process has mapped at one thread
+while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
+idle workers otherwise share the cores with the factorization, and whose
+rounding, and so the factors, depend on the thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +53,12 @@ ROUNDOFF = 1e-14
 # From this L on SuperLU keeps the sector blocks' nested-dissection order;
 # at L=4 that order fills 28 656 entries to minimum degree's 26 241.
 NESTED_MIN_L = 5
+
+
+# (setter, getter) names an OpenBLAS build exports: scipy's wheel, numpy's
+# 64-bit-integer wheel, a system library
+_THREAD_SYMBOLS = [(f"{p}_set_num_threads{s}", f"{p}_get_num_threads{s}")
+                   for p in ("scipy_openblas", "openblas") for s in ("", "64_")]
 
 
 class SingularMatrixError(RuntimeError):
@@ -219,6 +235,74 @@ def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
     B.data[np.abs(B.data) <= ROUNDOFF * np.abs(B.data).max(initial=0.0)] = 0
     B.eliminate_zeros()
     return B
+
+
+@functools.cache
+def openblas_pools() -> tuple | None:
+    """(set_num_threads, get_num_threads) of every OpenBLAS mapped into
+    the process, read once from /proc/self/maps; None when there is no
+    such map, no OpenBLAS, or one without a known thread setter."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    pools = []
+    for path in sorted(p for p in paths
+                       if "openblas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        names = next((n for n in _THREAD_SYMBOLS
+                      if all(hasattr(lib, name) for name in n)), None)
+        if names is None:
+            return None
+        set_threads, get_threads = (getattr(lib, name) for name in names)
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        pools.append((set_threads, get_threads))
+    return tuple(pools) or None
+
+
+# OpenBLAS's thread counts are per process, and so is this record: the
+# number of open one_blas_thread blocks and the counts the first replaced.
+_pool_lock = threading.Lock()
+_pool_users = 0
+_pool_saved: list[int] = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold every OpenBLAS at one thread inside the block, restoring each
+    one's previous count on leaving it, also by a raise; yields 1, or
+    "unmanaged" (changing nothing) where openblas_pools is None.  Blocks
+    may overlap on several Python threads: the first entry sets the counts
+    and the last exit restores them."""
+    global _pool_users
+    pools = openblas_pools()
+    if pools is None:
+        yield "unmanaged"
+        return
+    with _pool_lock:
+        if _pool_users == 0:
+            _pool_saved[:] = [get() for _, get in pools]
+            for set_threads, _ in pools:
+                set_threads(1)
+        _pool_users += 1
+    try:
+        yield 1
+    finally:
+        with _pool_lock:
+            _pool_users -= 1
+            if _pool_users == 0:
+                for (set_threads, _), n in zip(pools, _pool_saved):
+                    set_threads(n)
+
+
+def backward_error(A, x: np.ndarray, b: np.ndarray) -> float:
+    """||A x - b|| / ||b|| in the 2-norm, for a sparse A or a SystemMatrix
+    wrapper and one right-hand side; 0 for b = 0."""
+    norm_b = np.linalg.norm(b)
+    return float(np.linalg.norm(getattr(A, "matrix", A) @ x - b) / norm_b
+                 if norm_b else 0.0)
 
 
 def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:

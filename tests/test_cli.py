@@ -167,10 +167,15 @@ def test_manifests_carry_the_multimodes_health(tmp_path, capsys):
                               parse_constant=no_constant)
         diagnostics[command[0]] = {name: run["diagnostics"]
                                    for name, run in manifest["runs"].items()}
-    # both commands record both runs' norms, contraction and factor
+    # both commands record both runs' norms, contraction, factor, backward
+    # error and BLAS threads
     assert diagnostics["run"] == diagnostics["compare"]
     mm = diagnostics["run"]["multimodes"]
-    assert set(mm) == {"mode_l2_norms", "even_contraction", "factor"}
+    assert set(mm) == {"mode_l2_norms", "even_contraction", "factor",
+                       "backward_error", "blas_threads"}
+    for run in diagnostics.values():
+        assert {r["blas_threads"] for r in run.values()} == {mm["blas_threads"]}
+    assert mm["blas_threads"] in (1, "unmanaged")
     factor = mm["factor"]
     assert set(factor) == {"ordering", "nnz_A", "nnz_LU"}
     assert factor["ordering"] == "mmd" and factor["nnz_LU"] > 0

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from mmdg import linalg
 from mmdg.dg_core import DGField, l2_norm
 from mmdg.driver import (
     FIELD_KINDS,
@@ -275,6 +280,8 @@ def test_large_eps_runs_without_warning():
     norms = [l2_norm(phi) for phi in r.mode_means]
     health = dict(r.diagnostics)
     assert health.pop("factor")["ordering"] == "mmd"
+    assert health.pop("backward_error") < 1e-12
+    assert health.pop("blas_threads") in (1, "unmanaged")
     assert health == {
         "mode_l2_norms": norms,
         "even_contraction": [cfg.epsilon ** 2 * norms[2] / norms[0]]}
@@ -292,6 +299,8 @@ def test_default_runs_emit_no_warning():
     assert 0.0 < max(res_mm.diagnostics["even_contraction"]) < 1.0
     health = dict(res_std.diagnostics)
     assert health.pop("factor")["ordering"] == "mmd"
+    assert health.pop("backward_error") < 1e-12
+    assert health.pop("blas_threads") in (1, "unmanaged")
     assert health == {"mode_l2_norms": [l2_norm(res_std.psi)],
                       "even_contraction": []}
 
@@ -658,3 +667,147 @@ def test_result_is_frozen():
     for name in ("psi", "factorizations", "matrix_hash"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(res, name, None)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+@pytest.mark.parametrize("run, N", [(run_multimodes, 0), (run_multimodes, 2),
+                                    (run_standard, 0)])
+def test_backward_error_of_a_sampled_solve(run, N, L):
+    res = run(RunConfig(L=L, M=1, N=N))
+    assert 0.0 < res.diagnostics["backward_error"] < 1e-12
+
+
+def test_standard_backward_error_is_that_of_sample_0():
+    # with M = 1, psi is sample 0's solution
+    from mmdg.assembly import assemble_oscillatory_load, assemble_standard
+    from mmdg.driver import _FieldDraws
+
+    cfg = RunConfig(L=3, M=1)
+    res = run_standard(cfg)
+    mesh = build_uniform_mesh(cfg.L)
+    eta, xi = _FieldDraws(mesh, cfg).draw(0)
+    A = assemble_standard(mesh, cfg.k, cfg.lam, cfg.gamma0, cfg.gamma1,
+                          1.0 + cfg.epsilon * eta.values)
+    b = assemble_oscillatory_load(mesh, xi.values, cfg.k, cfg.q_f)
+    x = res.psi.coeffs
+    assert res.diagnostics["backward_error"] == (
+        np.linalg.norm(A.matrix @ x - b) / np.linalg.norm(b))
+
+
+def _blas_counts(pools):
+    return [get() for _, get in pools]
+
+
+@pytest.fixture
+def blas_pools():
+    """Each OpenBLAS's thread setter and getter, all set to 2 threads so
+    that holding one thread shows; the caller's counts come back after."""
+    pools = linalg.openblas_pools()
+    if pools is None:
+        pytest.skip("no OpenBLAS with a known thread setter is mapped")
+    saved = _blas_counts(pools)
+    for set_threads, _ in pools:
+        set_threads(2)
+    yield pools
+    for (set_threads, _), n in zip(pools, saved):
+        set_threads(n)
+
+
+@pytest.mark.parametrize("run", [run_multimodes, run_standard])
+def test_blas_threads_are_restored_on_return_and_raise(run, blas_pools,
+                                                       monkeypatch):
+    before = _blas_counts(blas_pools)
+    inside = []
+    factorize = linalg.factorize
+
+    def recording_factorize(A):
+        inside.append(_blas_counts(blas_pools))
+        return factorize(A)
+
+    monkeypatch.setattr(linalg, "factorize", recording_factorize)
+    assert run(dataclasses.replace(SMALL, M=2)).diagnostics["blas_threads"] == 1
+    assert inside and all(c == [1] * len(before) for c in inside)
+    assert _blas_counts(blas_pools) == before
+
+    def singular(A):
+        raise linalg.SingularMatrixError("singular")
+
+    monkeypatch.setattr(linalg, "factorize", singular)
+    with pytest.raises(linalg.SingularMatrixError):
+        run(SMALL)
+    assert _blas_counts(blas_pools) == before
+
+
+def test_overlapping_runs_hold_one_blas_thread_until_both_end(blas_pools,
+                                                              monkeypatch):
+    # both runs meet inside their drivers, the multi-modes run ends first,
+    # and the reference run, still inside, keeps the one thread
+    cfgs = {run_multimodes: RunConfig(L=4, M=3, N=2, seed=5),
+            run_standard: RunConfig(L=4, M=1, seed=5)}
+    serial = {run: run(cfg).psi.coeffs for run, cfg in cfgs.items()}
+    before = _blas_counts(blas_pools)
+    both_inside = threading.Barrier(2, timeout=60)
+    release = threading.Event()
+    seen, results = [], {}
+    factorize = linalg.factorize
+
+    def meeting_factorize(A):
+        seen.append(_blas_counts(blas_pools))
+        both_inside.wait()
+        if threading.current_thread() is threads[run_standard]:
+            assert release.wait(60)
+        return factorize(A)
+
+    def call(run):
+        results[run] = run(cfgs[run])
+
+    monkeypatch.setattr(linalg, "factorize", meeting_factorize)
+    threads = {run: threading.Thread(target=call, args=(run,)) for run in cfgs}
+    for t in threads.values():
+        t.start()
+    try:
+        threads[run_multimodes].join(60)
+        assert not threads[run_multimodes].is_alive()
+        assert run_multimodes in results
+        assert _blas_counts(blas_pools) == [1] * len(before)
+    finally:
+        release.set()
+        threads[run_standard].join(60)
+    assert not threads[run_standard].is_alive()
+    assert _blas_counts(blas_pools) == before
+    assert seen == [[1] * len(before)] * 2
+    for run, res in results.items():
+        assert res.diagnostics["blas_threads"] == 1
+        assert np.array_equal(res.psi.coeffs, serial[run])
+
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_answers_do_not_depend_on_the_blas_environment():
+    # the reference estimator's L=6 factor and the L=8 mirror-sector
+    # factor round differently on OpenBLAS's default threads
+    code = (
+        "import hashlib\n"
+        "from mmdg.driver import RunConfig, run_multimodes, run_standard\n"
+        "for run, cfg in ((run_standard, RunConfig(L=6, M=1)),\n"
+        "                 (run_multimodes, RunConfig(L=8, M=2, N=2))):\n"
+        "    res = run(cfg)\n"
+        "    print(res.diagnostics['blas_threads'],\n"
+        "          res.diagnostics['factor']['nnz_LU'],\n"
+        "          hashlib.sha256(res.psi.coeffs.tobytes()).hexdigest())\n"
+    )
+    import mmdg
+
+    src = os.path.dirname(os.path.dirname(mmdg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    unset["PYTHONPATH"] = path
+    outputs = [subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, env=env
+                              ).stdout.split("\n")
+               for env in (unset, {**unset, **dict.fromkeys(BLAS_ENV, "1")})]
+    if any(line.startswith("unmanaged") for out in outputs for line in out):
+        pytest.skip("OpenBLAS threads are unmanaged in this install")
+    assert outputs[0] == outputs[1]
+    assert all(line.startswith("1 ") for line in outputs[0][:2])

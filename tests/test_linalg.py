@@ -401,3 +401,74 @@ def test_mirror_solve_is_q_lu_qt_bitwise(layout):
     ref = Q.astype(complex) @ fact.lu.solve(Q.T.astype(complex) @ b)
     assert x.shape == b.shape
     assert np.array_equal(x, ref)
+
+
+def test_one_blas_thread_nests_and_restores():
+    pools = linalg.openblas_pools()
+    if pools is None:
+        pytest.skip("no OpenBLAS with a known thread setter is mapped")
+    before = [get() for _, get in pools]
+    with linalg.one_blas_thread() as outer:
+        with linalg.one_blas_thread() as inner:
+            assert [get() for _, get in pools] == [1] * len(pools)
+        assert [get() for _, get in pools] == [1] * len(pools)
+    assert outer == inner == 1
+    assert [get() for _, get in pools] == before
+    # the maps are read once per process
+    assert linalg.openblas_pools() is pools
+    assert linalg.openblas_pools.cache_info().misses == 1
+
+
+def test_one_blas_thread_without_openblas_changes_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "openblas_pools", lambda: None)
+    with linalg.one_blas_thread() as threads:
+        assert threads == "unmanaged"
+
+
+def test_one_blas_thread_costs_microseconds():
+    import timeit
+
+    linalg.openblas_pools()
+    best = min(timeit.repeat("with one_blas_thread(): pass", number=200,
+                             repeat=5, globals=vars(linalg)))
+    assert best / 200 < 1e-4
+
+
+def test_one_blas_thread_under_contention():
+    # more threads than cores enter and leave at once, switching often: a
+    # lost update of the block count would restore the threads too early
+    # (a block reads the caller's count) or never
+    import sys
+    import threading
+
+    pools = linalg.openblas_pools()
+    if pools is None:
+        pytest.skip("no OpenBLAS with a known thread setter is mapped")
+    saved = [get() for _, get in pools]
+    for set_threads, _ in pools:
+        set_threads(2)
+    wrong = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with linalg.one_blas_thread():
+                counts = [get() for _, get in pools]
+                if counts != [1] * len(pools):
+                    wrong.append(counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        after = [get() for _, get in pools]
+        for (set_threads, _), n in zip(pools, saved):
+            set_threads(n)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert after == [2] * len(pools)
