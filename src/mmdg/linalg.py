@@ -9,8 +9,11 @@ constant coefficients, the same impedance condition on all six faces)
 commutes with the cube's three mirrors x_a -> 1 - x_a.  Its SystemMatrix
 names that mesh, and such a matrix is factored in the mesh's mirror basis
 Q, which mirror_orbits tabulates: B = Q^T A Q is 8 independent sector
-blocks, each about 1/8 of A, which sector_blocks folds from A's 12x12
-cell blocks.  A solve is x = Q B^{-1} Q^T b.
+blocks, each about 1/8 of A, which sector_blocks folds from the 12x12
+cell blocks of the representative cells' block rows.  A solve is
+x = Q B^{-1} Q^T b, right only if Q^T A Q = B; sector_blocks checks that
+identity on 4 fixed random columns, so an A that is not mirror-invariant
+and a wrong fold are both refused with ValueError.
 Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
 the (n, 2B) float64 view of a C-contiguous complex block: half the flops
 of a complex product, with bitwise the same result.
@@ -45,9 +48,10 @@ import scipy.sparse.linalg as spla
 
 from .dg_core import N_LOCAL
 
-# Largest difference between A and a mirror image of it, in the centred
-# basis and relative to A's largest entry; exact symmetry leaves ~1e-16.
-MIRROR_TOL = 1e-12
+# Largest gap Q^T A Q V - B V sector_blocks accepts, relative to max|A|
+# max|V|: round-off on A_h reads <= 7.0e-15 (L <= 20); moving one entry of
+# A by 1e-11 max|A| reads >= 4.1e-13 unless every mirror fixes it (L <= 5).
+MIRROR_TOL = 2e-13
 # Sector-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
 # From this L on SuperLU keeps the sector blocks' nested-dissection order;
@@ -122,18 +126,13 @@ _MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
                          for loc in range(N_LOCAL)] for a in range(3)])
 
 
-def _centre_blocks(K: np.ndarray) -> None:
-    """Overwrite a C-contiguous stack K of 12x12 blocks with C^T K C."""
-    for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
-        part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
-
-
 class MirrorOrbits(NamedTuple):
     """The mirror basis Q = C S.  Column j of the signed orbit matrix S
     sums a centred dof over its mirror images with signs +-1, so that it
     is odd under mirror a exactly when bit a of its sector is set.  In one
     sector S has at most one entry per row, and it is 1 at the orbit's
-    representative, its cell of least index along each axis."""
+    representative, its cell of least index along each axis.  sector_blocks
+    folds B from column, sign, rep and size, and checks it against Q."""
 
     Q: sp.csr_matrix    # canonical CSR
     column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
@@ -141,7 +140,6 @@ class MirrorOrbits(NamedTuple):
     sector: np.ndarray  # (n,) sector of each column, columns grouped by it
     rep: np.ndarray     # (n_cells,) representative of each cell's orbit
     size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
-    image: np.ndarray   # (3, n_cells) image of each cell under mirror a
 
 
 def mirror_orbits(mesh) -> MirrorOrbits:
@@ -177,8 +175,7 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         column=column, sign=sign,
         sector=np.repeat(np.arange(8), has.sum(axis=(1, 2))),
         rep=np.ravel_multi_index(half, (L,) * 3),
-        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0),
-        image=np.arange(mesh.n_cells) + (L - 1 - 2 * ijk) * L ** np.c_[2:-1:-1])
+        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0))
 
 
 def _dissection(cells: np.ndarray) -> np.ndarray:
@@ -196,34 +193,24 @@ def _dissection(cells: np.ndarray) -> np.ndarray:
 
 
 def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
-    """The 8 diagonal sector blocks of Q^T A Q as one CSC matrix, with no
-    n-by-n product, refusing A unless A_c = C^T A C equals its image under
-    each mirror within MIRROR_TOL.  Then A_c S_s = S_s X_s, with S_s's
-    columns orthogonal, so S_s^T A_c S_s = diag(size) X_s, and row j of
-    X_s is row r_j of A_c S_s, r_j the dof where column j's S_s is 1 at
-    its representative cell.  Entries at most ROUNDOFF of the largest are
-    dropped."""
+    """The 8 diagonal sector blocks B of Q^T A Q as one CSC matrix, folded
+    from the block rows of A's representative cells with no n-by-n
+    product.  For a mirror-invariant A, A_c = C^T A C gives A_c S_s =
+    S_s X_s, with S_s's columns orthogonal, so S_s^T A_c S_s = diag(size)
+    X_s, and row j of X_s is row r_j of A_c S_s, r_j the dof where column
+    j's S_s is 1 at its representative cell.  Entries at most ROUNDOFF of
+    the largest are dropped.  Last, Q^T A Q V = B V is checked for a fixed
+    block V of 4 normal columns (Freivalds' method): A or a wrong orbit
+    table is refused beyond MIRROR_TOL of max|A| max|V|."""
     nc = orbits.rep.size
-    # block (q, p) of A^T, centred, is block (p, q) of A_c transposed
+    # block (q, p) of A^T is block (p, q) of A transposed
     At = mat.T.tobsr(blocksize=(N_LOCAL, N_LOCAL))
-    _centre_blocks(At.data)
-    q, p, K = np.repeat(np.arange(nc), np.diff(At.indptr)), At.indices, At.data
-    # 1 + the index of the block at each block position, 0 where none
-    lookup = sp.csr_array((np.arange(1, len(K) + 1), (q, p)), shape=(nc, nc))
-    diff, worst = np.empty_like(K), 0.0      # one buffer for all 3 mirrors
-    for image, odd in zip(orbits.image, _MIRROR_ODD):
-        at = lookup[image[q], image[p]]
-        np.take(K, at - 1, axis=0, out=diff, mode="wrap")
-        diff[at == 0] = 0.0                  # a block missing from A is zero
-        diff *= np.where(odd[:, None] ^ odd, -1.0, 1.0)
-        diff -= K
-        worst = max(worst, np.abs(diff.view(float), out=diff.view(float)).max())
-    scale = max(K.view(float).max(), -K.view(float).min())
-    if worst > MIRROR_TOL * scale:
-        raise ValueError(f"matrix is not mirror-invariant: a mirror moves an "
-                         f"entry by {worst / scale:.1e} of the largest")
+    q, p = np.repeat(np.arange(nc), np.diff(At.indptr)), At.indices
     rows = np.flatnonzero(orbits.rep[p] == p)
-    p, q, K = p[rows], q[rows], np.swapaxes(K[rows], 1, 2)
+    p, q, K = p[rows], q[rows], At.data[rows]   # K becomes C^T K C:
+    for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
+        part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
+    K = np.swapaxes(K, 1, 2)
     blk, sec, i, j = np.nonzero((K != 0)[:, None]
                                 & (orbits.sign[p] != 0)[..., None]
                                 & (orbits.sign[q] != 0)[:, :, None, :])
@@ -234,6 +221,12 @@ def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
         shape=mat.shape)
     B.data[np.abs(B.data) <= ROUNDOFF * np.abs(B.data).max(initial=0.0)] = 0
     B.eliminate_zeros()
+    V = np.random.default_rng(0).standard_normal((mat.shape[0], 4))
+    gap = np.abs(_real_times(orbits.Q.T, mat @ (orbits.Q @ V)) - B @ V).max()
+    scale = np.abs(mat.data).max(initial=0.0) * np.abs(V).max()
+    if gap > MIRROR_TOL * scale:
+        raise ValueError(f"matrix is not mirror-invariant: Q^T A Q V misses "
+                         f"B V by {gap / scale:.1e} of max|A| max|V|")
     return B
 
 
@@ -241,7 +234,7 @@ def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
 def openblas_pools() -> tuple | None:
     """(set_num_threads, get_num_threads) of every OpenBLAS mapped into
     the process, read once from /proc/self/maps; None when there is no
-    such map, no OpenBLAS, or one without a known thread setter."""
+    such map or an OpenBLAS cannot be opened or has no known setter."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split(None, 5)[-1].strip() for line in maps}
@@ -250,7 +243,10 @@ def openblas_pools() -> tuple | None:
     pools = []
     for path in sorted(p for p in paths
                        if "openblas" in os.path.basename(p).lower()):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:                  # e.g. "... .so (deleted)"
+            return None
         names = next((n for n in _THREAD_SYMBOLS
                       if all(hasattr(lib, name) for name in n)), None)
         if names is None:

@@ -382,6 +382,88 @@ def test_mirror_factor_refuses_each_asymmetric_mirror(L, axis):
         linalg.factorize(dataclasses.replace(A, mirror_mesh=mesh))
 
 
+PARAMETER_SETS = [(2.0, 1.0, 10.0, 0.1), (7.5, 0.3, 100.0, 3.0),
+                  (0.5, 5.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+@pytest.mark.parametrize("k, lam, gamma0, gamma1", PARAMETER_SETS)
+def test_sector_blocks_accept_round_off(L, k, lam, gamma0, gamma1,
+                                        monkeypatch):
+    # the probe reads at most 4.0e-15 of max|A| max|V| on A_h up to L=8
+    # (7.0e-15 up to L=20): accepted with 20x to spare
+    monkeypatch.setattr(linalg, "MIRROR_TOL", linalg.MIRROR_TOL / 20)
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
+    linalg.sector_blocks(A.matrix, mirror_orbits(mesh))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_sector_blocks_refuse_one_moved_entry(L):
+    # Moving one entry of A by 1e-11 of the largest breaks the symmetry
+    # unless every mirror fixes it, that is unless Q^T E Q keeps the
+    # single-entry E within one sector; at L=1 that holds for 15 of the 54
+    # entries.  The probe reads at least 9.1e-13 on the others (every
+    # entry, L <= 4).  The earlier check, which compared each centred cell
+    # block of A with its mirror images at 1e-12 of the largest, refused
+    # the same entries (all 54 at L=1, all 7506 at L=3, these 60 at L=2, 4).
+    mesh = build_uniform_mesh(L)
+    A = sp.csc_matrix(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix)
+    orbits = mirror_orbits(mesh)
+    Q = orbits.Q
+    rows = A.indices
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    moved = 0
+    for at in np.random.default_rng(L).choice(A.nnz, min(A.nnz, 60),
+                                              replace=False):
+        sectors = np.union1d(orbits.sector[Q[rows[at]].indices],
+                             orbits.sector[Q[cols[at]].indices])
+        bad = A.copy()
+        bad.data[at] += 1e-11 * abs(A.data).max()
+        if len(sectors) == 1:
+            linalg.sector_blocks(bad, orbits)
+            continue
+        moved += 1
+        with pytest.raises(ValueError, match="not mirror-invariant"):
+            linalg.sector_blocks(bad, orbits)
+    assert moved
+
+
+@pytest.mark.parametrize("field", ["sign", "size"])
+def test_sector_blocks_refuse_a_wrong_orbit_table(field):
+    # the earlier check compared A with its mirror images and never looked
+    # at the fold: it accepted both tables, whose solves then had backward
+    # errors of 0.17 (sign) and 0.036 (size)
+    mesh = build_uniform_mesh(4)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    orbits = mirror_orbits(mesh)
+    wrong = getattr(orbits, field).copy()
+    if field == "sign":              # cell 1 is a representative
+        wrong[(1, *np.argwhere(wrong[1] != 0)[0])] *= -1
+    else:
+        wrong[0] += 1
+    with pytest.raises(ValueError, match="not mirror-invariant"):
+        linalg.sector_blocks(A.matrix, orbits._replace(**{field: wrong}))
+
+
+def test_sector_blocks_peak_memory():
+    # folding the representative rows alone peaks at 5.8x A's entries at
+    # L=6; centring every cell block and comparing it with its mirror
+    # images took 8.6x
+    import tracemalloc
+
+    mesh = build_uniform_mesh(6)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    orbits = mirror_orbits(mesh)
+    tracemalloc.start()
+    try:
+        linalg.sector_blocks(A.matrix, orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * A.matrix.data.nbytes
+
+
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
                                     "real"])
 def test_mirror_solve_is_q_lu_qt_bitwise(layout):
@@ -423,6 +505,17 @@ def test_one_blas_thread_without_openblas_changes_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "openblas_pools", lambda: None)
     with linalg.one_blas_thread() as threads:
         assert threads == "unmanaged"
+
+
+def test_openblas_pools_without_a_library_to_open(monkeypatch):
+    # a library replaced on disk while mapped cannot be opened again
+    import io
+
+    line = ("7f0000000000-7f0000001000 r-xp 00000000 08:01 42 "
+            "/usr/lib/libscipy_openblas-abc.so (deleted)\n")
+    monkeypatch.setattr(linalg, "open", lambda *args: io.StringIO(line),
+                        raising=False)
+    assert linalg.openblas_pools.__wrapped__() is None
 
 
 def test_one_blas_thread_costs_microseconds():
