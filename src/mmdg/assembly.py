@@ -115,18 +115,16 @@ def _assemble(mesh: HexMesh, k: float, lam: float, gamma0: float,
     diag = (curlcurl - (k * k) * alpha_sq[:, None, None] * mass).astype(complex)
     offdiag = []                        # (block rows, block cols, values)
     for axis in range(3):
-        sel = mesh.iface_axis == axis
         flux, j0, j1 = _interior_face_blocks(axis, h, quad)
         blk = flux - 1j * ((gamma0 / h) * j0 + gamma1 * h * j1)
-        own, nb = mesh.iface_owner[sel], mesh.iface_neighbor[sel]
+        own, nb = mesh.interior_faces(axis)
         diag[own] += blk[:12, :12]
         diag[nb] += blk[12:, 12:]
         offdiag += [(own, nb, blk[:12, 12:]), (nb, own, blk[12:, :12])]
     for axis in range(3):
         for side in (0, 1):
-            sel = (mesh.bface_axis == axis) & (mesh.bface_side == side)
             blk = _boundary_tangential_block(axis, side, h, quad)
-            diag[mesh.bface_cell[sel]] -= 1j * k * lam * blk
+            diag[mesh.boundary_cells(axis, side)] -= 1j * k * lam * blk
 
     # A block sparse matrix of A^T, its blocks transposed and sorted by
     # block column of A, converts to CSR arrays that are A's CSC arrays.

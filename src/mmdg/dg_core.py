@@ -210,8 +210,8 @@ def _penalty_quadratic(field: DGField, gamma0: float,
     cw = field.cellwise()
     j0 = j1 = 0.0
     for axis in range(3):
-        sel = mesh.iface_axis == axis
-        v = np.hstack([cw[mesh.iface_owner[sel]], cw[mesh.iface_neighbor[sel]]])
+        own, nb = mesh.interior_faces(axis)
+        v = np.hstack([cw[own], cw[nb]])
         _, J0, J1 = _interior_face_blocks(axis, h, quad)
         j0 += (gamma0 / h) * np.vdot(v, v @ J0).real
         j1 += gamma1 * h * np.vdot(v, v @ J1).real

@@ -19,6 +19,7 @@ solve of the summed sources.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -70,8 +71,12 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         for name in "k lam epsilon gamma0 gamma1 ell".split():
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number")
+        if not isinstance(self.clamp, (bool, np.bool_)):
+            raise ValueError("clamp must be a bool")
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if self.k <= 0 or self.lam <= 0:

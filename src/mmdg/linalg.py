@@ -21,10 +21,11 @@ of a complex product, with bitwise the same result.
 mirror_orbits numbers each sector's columns by nested dissection of its
 cell grid at every L.  From L = NESTED_MIN_L = 5 on, SuperLU keeps that
 order (NATURAL); below, it reorders B by minimum degree on B + B^T
-(MMD_AT_PLUS_A).  Neither joins two blocks.  nnz(L+U) is 26 241 at L=4,
-170 432 at L=6 and 709 184 at L=8, against 120 500, 982 000 and
-3 728 000 for the coupled factor of A_h; it can move with round-off in B,
-through pivoting.
+(MMD_AT_PLUS_A), whose 16-column solve is faster at L=4 although it
+stores more: SuperLU.nnz is 39 537 there against NATURAL's 28 656.  Neither
+joins two blocks.  nnz(L+U) is 170 432 at L=6 and 709 184 at L=8, against
+982 000 and 3 728 000 for the coupled factor of A_h; it can move with
+round-off in B, through pivoting.
 
 one_blas_thread holds every OpenBLAS the process has mapped at one thread
 while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
@@ -54,8 +55,9 @@ from .dg_core import N_LOCAL
 MIRROR_TOL = 2e-13
 # Sector-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
-# From this L on SuperLU keeps the sector blocks' nested-dissection order;
-# at L=4 that order fills 28 656 entries to minimum degree's 26 241.
+# From this L on SuperLU keeps the sector blocks' nested-dissection order.
+# At L=4 minimum degree stores more (SuperLU.nnz 39 537 against 28 656)
+# but solves 16 columns faster (0.61-0.64 against 0.71-0.77 ms, 2 vCPUs).
 NESTED_MIN_L = 5
 
 

@@ -15,11 +15,13 @@ from mmdg.assembly import (
 )
 from mmdg.dg_core import DGField, curl_vectors, gauss01, make_quadrature, ref_mass_12
 from mmdg.mesh import build_uniform_mesh
+from test_mesh import brute_force_faces
 
 
 # ---------------------------------------------------------------------------
 # independent dense oracle: assemble the sesquilinear form entry by entry
-# from the definitions, with its own basis evaluation and quadrature
+# from the definitions, with its own basis evaluation, quadrature and face
+# enumeration
 # ---------------------------------------------------------------------------
 
 def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
@@ -81,11 +83,10 @@ def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
         out[axis] = 0.0
         return out
 
+    interior, boundary = brute_force_faces(mesh.L)
+
     # interior faces
-    for f in range(len(mesh.iface_owner)):
-        own = int(mesh.iface_owner[f])
-        nb = int(mesh.iface_neighbor[f])
-        axis = int(mesh.iface_axis[f])
+    for own, nb, axis in interior:
         # unit normal out of the owner, toward the neighbor's center
         nu = (mesh.cell_centers[nb] - mesh.cell_centers[own]) / h
         coord = mesh.cell_lower(own)[axis]
@@ -118,10 +119,7 @@ def oracle_dense_matrix(mesh, k, lam, gamma0, gamma1, alpha_sq=None, q=3):
                         P[gi, gj] += gamma1 * h * h * h * (jc_j @ jc_i)
 
     # boundary tangential mass
-    for f in range(len(mesh.bface_cell)):
-        cell = int(mesh.bface_cell[f])
-        axis = int(mesh.bface_axis[f])
-        side = int(mesh.bface_side[f])
+    for cell, axis, side in boundary:
         coord = mesh.cell_lower(cell)[axis] + h * side
         for i in range(12):
             gi = 12 * cell + i
@@ -253,7 +251,8 @@ def test_invalid_parameters_rejected():
 # ---------------------------------------------------------------------------
 # COO oracle: the earlier assembly path, which scattered every dense local
 # block as (row, col, value) triplets into one list and let one
-# duplicate-summing CSC conversion add them up
+# duplicate-summing CSC conversion add them up; the faces come from the
+# brute-force enumeration
 # ---------------------------------------------------------------------------
 
 def coo_oracle(mesh, k, lam, gamma0, gamma1, alpha_sq):
@@ -271,20 +270,21 @@ def coo_oracle(mesh, k, lam, gamma0, gamma1, alpha_sq):
         return (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel(),
                 np.broadcast_to(blocks, (nf, nd, nd)).ravel())
 
+    interior, boundary = (np.array(faces, dtype=np.int64).reshape(-1, 3)
+                          for faces in brute_force_faces(mesh.L))
     vol = curlcurl[None] - (k * k) * alpha_sq[:, None, None] * mass[None]
     parts = [triplets(cell_dofs(np.arange(mesh.n_cells)), vol)]
     for axis in range(3):
-        sel = mesh.iface_axis == axis
+        own, nb, _ = interior[interior[:, 2] == axis].T
         flux, j0, j1 = _interior_face_blocks(axis, h, quad)
         pen = (gamma0 / h) * j0 + gamma1 * h * j1
-        dofs = np.concatenate([cell_dofs(mesh.iface_owner[sel]),
-                               cell_dofs(mesh.iface_neighbor[sel])], axis=1)
+        dofs = np.concatenate([cell_dofs(own), cell_dofs(nb)], axis=1)
         parts.append(triplets(dofs, flux - 1j * pen))
     for axis in range(3):
         for side in (0, 1):
-            sel = (mesh.bface_axis == axis) & (mesh.bface_side == side)
+            sel = (boundary[:, 1] == axis) & (boundary[:, 2] == side)
             blk = k * lam * _boundary_tangential_block(axis, side, h, quad)
-            parts.append(triplets(cell_dofs(mesh.bface_cell[sel]), -1j * blk))
+            parts.append(triplets(cell_dofs(boundary[sel, 0]), -1j * blk))
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
     n = 12 * mesh.n_cells
     A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()

@@ -18,6 +18,7 @@ from mmdg.dg_core import (
     ref_mass_12,
 )
 from mmdg.mesh import build_uniform_mesh
+from test_mesh import brute_force_faces
 
 
 def linear_field(mesh, fn):
@@ -164,9 +165,8 @@ def test_indicator_j0_against_face_by_face_oracle():
     # jump is the constant (1,0,0) with its normal component dropped;
     # integral of |jump_T|^2 over the face is area * (0 or 1)
     expected = 0.0
-    for face in range(len(m.iface_owner)):
-        if cell in (m.iface_owner[face], m.iface_neighbor[face]):
-            axis = m.iface_axis[face]
+    for own, nb, axis in brute_force_faces(m.L)[0]:
+        if cell in (own, nb):
             jt_sq = 0.0 if axis == 0 else 1.0  # component 1 dropped on x-faces
             expected += (1.0 / m.h) * m.h ** 2 * jt_sq
     got = dg_norm(f, 1.0, 0.0) ** 2 - l2_norm(f) ** 2  # curl of constant = 0
@@ -182,10 +182,11 @@ def trace_penalty_oracle(field, gamma0, gamma1):
     h = mesh.h
     cw = field.cellwise()
     curls = all_curls(field)
+    interior = np.array(brute_force_faces(mesh.L)[0],
+                        dtype=np.int64).reshape(-1, 3)
     j0 = j1 = 0.0
     for axis in range(3):
-        sel = mesh.iface_axis == axis
-        own, nb = mesh.iface_owner[sel], mesh.iface_neighbor[sel]
+        own, nb, _ = interior[interior[:, 2] == axis].T
         tang = [a for a in range(3) if a != axis]
 
         def traces(cells, side):

@@ -45,6 +45,9 @@ def test_config_validation():
         # counts must be integers, and a bool is not one
         dict(workers=1.5), dict(M=True), dict(L=2.5), dict(N=1.5),
         dict(seed=1.5), dict(q_f=2.5),
+        # a flag must be a bool, and a physical parameter a real number
+        dict(clamp="no"), dict(clamp=1), dict(k="2"), dict(k=None),
+        dict(epsilon=1j), dict(ell=True),
     ]
     # an invalid config cannot be built, directly or by replace
     for kw in bad:

@@ -118,8 +118,7 @@ def test_uniform_moments():
 def test_uniform_adjacent_independence():
     mesh = build_uniform_mesh(2)
     rng = np.random.default_rng(4)
-    a = int(mesh.iface_owner[0])
-    b = int(mesh.iface_neighbor[0])
+    a, b = (int(cells[0]) for cells in mesh.interior_faces(0))
     vals = np.array([sample_uniform(mesh, rng).values[[a, b]]
                      for _ in range(10_000)])
     corr = np.corrcoef(vals.T)[0, 1]
