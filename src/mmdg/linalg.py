@@ -6,26 +6,32 @@ substitutions, for one right-hand side or a block of them at once.
 
 The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
-commutes with the cube's three mirrors x_a -> 1 - x_a.  Its SystemMatrix
-names that mesh, and such a matrix is factored in the mesh's mirror basis
-Q, which mirror_orbits tabulates: B = Q^T A Q is 8 independent sector
-blocks, each about 1/8 of A, which sector_blocks folds from the 12x12
-cell blocks of the representative cells' block rows.  A solve is
-x = Q B^{-1} Q^T b, right only if Q^T A Q = B; sector_blocks checks that
-identity on 4 fixed random columns, so an A that is not mirror-invariant
-and a wrong fold are both refused with ValueError.
-Q's entries are real (+-1, +-1/2), so Q and Q^T are float64 and act on
-the (n, 2B) float64 view of a C-contiguous complex block: half the flops
-of a complex product, with bitwise the same result.
+commutes with the cube's three mirrors x_a -> 1 - x_a and with its axis
+swaps.  Its SystemMatrix names that mesh, and such a matrix is factored
+in the mesh's mirror basis Q, which mirror_orbits tabulates: B = Q^T A Q
+is 8 independent sector blocks, one per parity under the mirrors.  Two of
+a sector's three parities agree, so the swap of those two axes permutes
+the sector's columns (pair), and U, whose columns are the pairs' sums and
+differences over sqrt 2, splits each sector into its swap-even and
+swap-odd halves.  half_blocks folds the 16 diagonal blocks B_h of
+(QU)^T A QU, each about 1/16 of A, from the 12x12 cell blocks of A at the
+representative cells, and one SuperLU holds them all.  A solve is
+x = Q U B_h^{-1} U^T Q^T b, right only if (QU)^T A QU = B_h; half_blocks
+checks that identity on 4 fixed random columns, so an A that does not
+commute with the mirrors and the swaps, and a wrong orbit or pairing
+table, are refused with ValueError.  Q's entries are real (+-1, +-1/2),
+and U's (+-1, +-1/sqrt 2), so Q, U and their transposes are float64 and
+each acts on the (n, 2B) float64 view of a C-contiguous complex block:
+half the flops of a complex product, with bitwise the same result.
 
 mirror_orbits numbers each sector's columns by nested dissection of its
-cell grid at every L.  From L = NESTED_MIN_L = 5 on, SuperLU keeps that
-order (NATURAL); below, it reorders B by minimum degree on B + B^T
-(MMD_AT_PLUS_A), whose 16-column solve is faster at L=4 although it
-stores more: SuperLU.nnz is 39 537 there against NATURAL's 28 656.  Neither
-joins two blocks.  nnz(L+U) is 170 432 at L=6 and 709 184 at L=8, against
-982 000 and 3 728 000 for the coupled factor of A_h; it can move with
-round-off in B, through pivoting.
+cell grid at every L, and a half takes its columns in the order of their
+lead columns min(j, pair[j]).  From L = NESTED_MIN_L = 5 on, SuperLU
+keeps that order (NATURAL); below, it reorders B_h by minimum degree on
+B_h + B_h^T (MMD_AT_PLUS_A).  Neither joins two blocks.  SuperLU.nnz is
+106 748 at L=6 and 430 668 at L=8, against 170 432 and 709 184 for the 8
+sector blocks and 1 004 072 and 3 787 360 for the coupled factor of A_h;
+it can move with round-off in B_h, through pivoting.
 
 one_blas_thread holds every OpenBLAS the process has mapped at one thread
 while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
@@ -49,15 +55,17 @@ import scipy.sparse.linalg as spla
 
 from .dg_core import N_LOCAL
 
-# Largest gap Q^T A Q V - B V sector_blocks accepts, relative to max|A|
-# max|V|: round-off on A_h reads <= 7.0e-15 (L <= 20); moving one entry of
-# A by 1e-11 max|A| reads >= 4.1e-13 unless every mirror fixes it (L <= 5).
+# Largest gap (QU)^T A QU V - B_h V half_blocks accepts, relative to
+# max|A| max|V|: round-off on A_h reads <= 6.0e-15 (L <= 8; 3.8e-15 at
+# L = 10, 12, 16), and <= 7.0e-15 with U = I (L <= 20); moving one entry of
+# A by 1e-11 max|A| reads >= 1.2e-12 unless the entry stays in one half
+# (every entry at L <= 2, 300 sampled at L = 3, 4, 5).
 MIRROR_TOL = 2e-13
-# Sector-block entries at most this fraction of the largest are round-off.
+# Half-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
-# From this L on SuperLU keeps the sector blocks' nested-dissection order.
-# At L=4 minimum degree stores more (SuperLU.nnz 39 537 against 28 656)
-# but solves 16 columns faster (0.61-0.64 against 0.71-0.77 ms, 2 vCPUs).
+# From this L on SuperLU keeps the halves' nested-dissection order.  At
+# L=4 minimum degree stores less (SuperLU.nnz 14 798 against 15 293) and
+# solves 16 columns faster (0.39 against 0.44 ms, best of 7, 2 vCPUs).
 NESTED_MIN_L = 5
 
 
@@ -76,13 +84,16 @@ class SingularMatrixError(RuntimeError):
 @dataclass(frozen=True)
 class Factorization:
     """Stored sparse LU factors P B Pc = L U.  For a mirror-invariant A,
-    B is the block-diagonal sector_blocks of A and basis holds its mirror
-    basis Q (float64); otherwise B is A and basis is None."""
+    B is the block-diagonal half_blocks of A, basis holds its mirror basis
+    (Q, Q^T) and halves the orthogonal (U, U^T) that splits each mirror
+    sector by an axis swap, all float64, so that A^-1 = Q U B^-1 U^T Q^T;
+    otherwise B is A and basis and halves are None."""
 
     lu: "spla.SuperLU"
     n: int
     nnz: int                                  # of A
-    basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None  # (Q, Q^T)
+    basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None   # (Q, Q^T)
+    halves: tuple[sp.csr_matrix, sp.csr_matrix] | None = None  # (U, U^T)
     ordering: str = "mmd"                     # or "nested_dissection"
 
     @property
@@ -96,18 +107,20 @@ class Factorization:
 
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix, or a SystemMatrix wrapper; one that
-    names a mirror_mesh is factored in that mesh's mirror basis, in the
-    column order of mirror_orbits from L = NESTED_MIN_L on."""
+    names a mirror_mesh is factored as its 16 half_blocks in one SuperLU,
+    in the column order of mirror_orbits from L = NESTED_MIN_L on."""
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
-    basis, ordering = None, "mmd"
+    basis = halves = None
+    ordering = "mmd"
     if getattr(A, "mirror_mesh", None) is not None:
         orbits = mirror_orbits(A.mirror_mesh)
-        mat = sector_blocks(mat, orbits)
+        mat, U = half_blocks(mat, orbits)
         basis = (orbits.Q, orbits.Q.T.tocsr())
+        halves = (U, U.T.tocsr())
         if A.mirror_mesh.L >= NESTED_MIN_L:
             ordering = "nested_dissection"
     try:
@@ -117,7 +130,8 @@ def factorize(A) -> Factorization:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
-    return Factorization(lu=lu, n=n, nnz=nnz, basis=basis, ordering=ordering)
+    return Factorization(lu=lu, n=n, nnz=nnz, basis=basis, halves=halves,
+                         ordering=ordering)
 
 
 # the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
@@ -126,6 +140,15 @@ _CENTRE = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
 # _MIRROR_ODD[a, loc]: mirror a flips centred dof loc = (c, m) if c = a xor m = a+1
 _MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
                          for loc in range(N_LOCAL)] for a in range(3)])
+# _SWAP[s]: the axis swap that fixes sector s, as a permutation of the
+# axes; it swaps two axes whose bits in s agree: y, z if they can, else x, z
+_SWAP = np.array([[0, 2, 1] if s >> 1 & 1 == s >> 2 & 1 else
+                  [2, 1, 0] if s & 1 == s >> 2 & 1 else [1, 0, 2]
+                  for s in range(8)])
+# _SWAP_LOC[s, loc]: the local dof that swap carries loc = (c, m) to
+_SWAP_LOC = (4 * _SWAP[:, :, None]
+             + np.hstack([np.zeros((8, 1), int), _SWAP + 1])[:, None]
+             ).reshape(8, N_LOCAL)
 
 
 class MirrorOrbits(NamedTuple):
@@ -133,8 +156,10 @@ class MirrorOrbits(NamedTuple):
     sums a centred dof over its mirror images with signs +-1, so that it
     is odd under mirror a exactly when bit a of its sector is set.  In one
     sector S has at most one entry per row, and it is 1 at the orbit's
-    representative, its cell of least index along each axis.  sector_blocks
-    folds B from column, sign, rep and size, and checks it against Q."""
+    representative, its cell of least index along each axis.  The axis
+    swap _SWAP[s] permutes sector s's columns with sign +1: pair[j] is
+    column j's image, and pair[pair[j]] = j.  half_blocks folds B_h from
+    column, sign, rep, size, sector and pair, and checks it against Q."""
 
     Q: sp.csr_matrix    # canonical CSR
     column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
@@ -142,6 +167,7 @@ class MirrorOrbits(NamedTuple):
     sector: np.ndarray  # (n,) sector of each column, columns grouped by it
     rep: np.ndarray     # (n_cells,) representative of each cell's orbit
     size: np.ndarray    # (n_cells,) number of cells in each cell's orbit
+    pair: np.ndarray    # (n,) image of each column under its sector's swap
 
 
 def mirror_orbits(mesh) -> MirrorOrbits:
@@ -150,7 +176,9 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
     Q stays square.  The representatives fill an R^3 box, R = (L+1)//2,
     and a sector's columns go by representative in nested-dissection
-    order of that box, then by local dof."""
+    order of that box, then by local dof.  A sector's swap maps the
+    column at (representative c, loc) to the one at (swapped c, swapped
+    loc), read off the same numbering."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
     R = (L + 1) // 2
     i = np.arange(L)
@@ -167,6 +195,9 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     has = np.all(box[:, None] < ncol[:, None], axis=3)
     num = np.cumsum(has).reshape(has.shape) - 1
     column = num[:, at[tuple(half)]].transpose(1, 0, 2)
+    image = at[tuple(np.moveaxis(box.T[_SWAP], 1, 0))]         # (8, R^3)
+    pair = num[np.arange(8)[:, None, None], image[:, :, None],
+               _SWAP_LOC[:, None]][has]
     sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
     dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
     v = sign[:, :, src] * _CENTRE[dst, src]
@@ -177,7 +208,7 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         column=column, sign=sign,
         sector=np.repeat(np.arange(8), has.sum(axis=(1, 2))),
         rep=np.ravel_multi_index(half, (L,) * 3),
-        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0))
+        size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0), pair=pair)
 
 
 def _dissection(cells: np.ndarray) -> np.ndarray:
@@ -194,42 +225,89 @@ def _dissection(cells: np.ndarray) -> np.ndarray:
                            _dissection(cells[x > mid]), cells[x == mid]])
 
 
-def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
-    """The 8 diagonal sector blocks B of Q^T A Q as one CSC matrix, folded
-    from the block rows of A's representative cells with no n-by-n
-    product.  For a mirror-invariant A, A_c = C^T A C gives A_c S_s =
-    S_s X_s, with S_s's columns orthogonal, so S_s^T A_c S_s = diag(size)
-    X_s, and row j of X_s is row r_j of A_c S_s, r_j the dof where column
-    j's S_s is 1 at its representative cell.  Entries at most ROUNDOFF of
-    the largest are dropped.  Last, Q^T A Q V = B V is checked for a fixed
-    block V of 4 normal columns (Freivalds' method): A or a wrong orbit
-    table is refused beyond MIRROR_TOL of max|A| max|V|."""
-    nc = orbits.rep.size
-    # block (q, p) of A^T is block (p, q) of A transposed
-    At = mat.T.tobsr(blocksize=(N_LOCAL, N_LOCAL))
-    q, p = np.repeat(np.arange(nc), np.diff(At.indptr)), At.indices
-    rows = np.flatnonzero(orbits.rep[p] == p)
-    p, q, K = p[rows], q[rows], At.data[rows]   # K becomes C^T K C:
+def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
+                                                     sp.csr_matrix]:
+    """(B_h, U): the diagonal blocks B_h of (QU)^T A QU as one CSC matrix,
+    and the orthogonal U that splits each sector of B = Q^T A Q into its
+    swap-even and swap-odd halves, 16 blocks in all.  For a pair j < k =
+    pair[j], U has the columns (e_j +- e_k)/sqrt 2, for a fixed point
+    e_j in the even half; each half runs sector by sector, even first,
+    in the order of its lead columns j <= pair[j].  B_h is folded with no
+    n-by-n product, as the transpose of the fold of A^T, from the lead
+    rows of B^T = Q^T A^T Q: B^T commutes with the swap, so row (j, +-) of
+    B_h^T is B^T[j, k] +- B^T[j, pair[k]], times a power of sqrt 2.  Those
+    rows come from the block rows of A^T at the representative cells, that
+    is A's block columns there: for a mirror-invariant A, A_c = C^T A^T C
+    gives A_c S_s = S_s X_s, with S_s's columns orthogonal, so S_s^T A_c
+    S_s = diag(size) X_s, and row j of X_s is row r_j of A_c S_s, r_j the
+    dof where column j's S_s is 1 at its representative cell.  Entries at
+    most ROUNDOFF of the largest are dropped.  Last, (QU)^T A QU V = B_h V
+    is checked for a fixed block V of 4 normal columns (Freivalds'
+    method): A, or a wrong orbit or pairing table, is refused beyond
+    MIRROR_TOL of max|A| max|V|."""
+    n, nc = mat.shape[0], orbits.rep.size
+    j = np.arange(n)
+    lead, paired = orbits.pair >= j, orbits.pair != j
+    # each lead column heads an even column of U, and a paired one an odd
+    # column too; numbered stably by half, 2 sector + odd, they keep the
+    # lead columns' order, and a column's image shares its numbers
+    new = np.empty(n, dtype=np.intp)
+    new[np.argsort(np.concatenate([2 * orbits.sector[lead],
+                                   2 * orbits.sector[lead & paired] + 1]),
+                   kind="stable")] = j
+    even = np.empty(n, dtype=np.intp)
+    even[lead] = new[:np.count_nonzero(lead)]
+    even[~lead] = even[orbits.pair[~lead]]
+    odd = np.full(n, -1)
+    odd[lead & paired] = new[np.count_nonzero(lead):]
+    odd[~lead] = odd[orbits.pair[~lead]]
+    root = np.where(paired, np.sqrt(0.5), 1.0)     # U[j, even[j]]
+    sgn = np.where(lead, 1.0, -1.0)                # U[j, odd[j]] / sqrt 1/2
+    entry = np.column_stack([np.ones(n, dtype=bool), paired])
+    U = sp.csr_matrix((np.column_stack([root, sgn * np.sqrt(0.5)])[entry],
+                       np.column_stack([even, odd])[entry],
+                       np.concatenate([[0], np.cumsum(entry.sum(axis=1))])),
+                      shape=(n, n))
+    # A^T's block rows at the representative cells p, cut from A's CSC
+    # arrays; K is the block at (p, q)
+    reps = np.flatnonzero(orbits.rep == np.arange(nc))
+    dofs = (N_LOCAL * reps[:, None] + np.arange(N_LOCAL)).ravel()
+    At = mat[:, dofs].T.tobsr(blocksize=(N_LOCAL, N_LOCAL))
+    p, q = np.repeat(reps, np.diff(At.indptr)), At.indices
+    K = At.data                                 # K becomes C^T K C:
     for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
         part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
-    K = np.swapaxes(K, 1, 2)
-    blk, sec, i, j = np.nonzero((K != 0)[:, None]
-                                & (orbits.sign[p] != 0)[..., None]
-                                & (orbits.sign[q] != 0)[:, :, None, :])
-    # the blocks of one column orbit land on the same entries, summed here
+    is_lead = (orbits.sign != 0) & lead[orbits.column]
+    blk, sec, i, jj = np.nonzero((K != 0)[:, None]
+                                 & is_lead[p][..., None]
+                                 & (orbits.sign[q] != 0)[:, :, None, :])
+    r, c = orbits.column[p[blk], sec, i], orbits.column[q[blk], sec, jj]
+    v = K[blk, i, jj] * orbits.size[p[blk]] * orbits.sign[q[blk], sec, jj]
+    both = paired[r] & paired[c]
+    # the blocks of one column orbit land on the same entries, summed here;
+    # (r, c) of B_h^T is (c, r) of B_h
     B = sp.csc_matrix(
-        (K[blk, i, j] * orbits.size[p[blk]] * orbits.sign[q[blk], sec, j],
-         (orbits.column[p[blk], sec, i], orbits.column[q[blk], sec, j])),
-        shape=mat.shape)
+        (np.concatenate([v * (root[c] / root[r]), (v * sgn[c])[both]]),
+         (np.concatenate([even[c], odd[c[both]]]),
+          np.concatenate([even[r], odd[r[both]]]))), shape=mat.shape)
     B.data[np.abs(B.data) <= ROUNDOFF * np.abs(B.data).max(initial=0.0)] = 0
     B.eliminate_zeros()
-    V = np.random.default_rng(0).standard_normal((mat.shape[0], 4))
-    gap = np.abs(_real_times(orbits.Q.T, mat @ (orbits.Q @ V)) - B @ V).max()
+    V = np.random.default_rng(0).standard_normal((n, 4))
+    QUt_A_QU_V = _real_times(U.T, _real_times(
+        orbits.Q.T, mat @ (orbits.Q @ (U @ V))))
+    gap = np.abs(QUt_A_QU_V - B @ V).max()
     scale = np.abs(mat.data).max(initial=0.0) * np.abs(V).max()
     if gap > MIRROR_TOL * scale:
-        raise ValueError(f"matrix is not mirror-invariant: Q^T A Q V misses "
-                         f"B V by {gap / scale:.1e} of max|A| max|V|")
-    return B
+        raise ValueError(f"matrix is not mirror-invariant, or not swap-"
+                         f"invariant: (QU)^T A QU V misses B_h V by "
+                         f"{gap / scale:.1e} of max|A| max|V|")
+    return B, U
+
+
+def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
+    """The 8 sector blocks B of Q^T A Q alone: half_blocks with every
+    column its own image, so that U = I."""
+    return half_blocks(mat, orbits._replace(pair=np.arange(mat.shape[0])))[0]
 
 
 @functools.cache
@@ -314,13 +392,15 @@ def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
         )
     if fact.basis is None:
         return fact.lu.solve(b)
-    Q, Qt = fact.basis
-    return _real_times(Q, fact.lu.solve(_real_times(Qt, b)))
+    (Q, Qt), (U, Ut) = fact.basis, fact.halves
+    y = fact.lu.solve(_real_times(Ut, _real_times(Qt, b)))
+    return _real_times(Q, _real_times(U, y))
 
 
 def _real_times(Q: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Q @ b for a float64 Q and a complex b of shape (n,) or (n, B), as
-    one real product on b's float64 view; a non-C-contiguous b (SuperLU
-    returns Fortran order) is copied first, as a complex product would."""
+    """Q @ b for a float64 Q (or U, or a transpose) and a complex b of
+    shape (n,) or (n, B), as one real product on b's float64 view; a
+    non-C-contiguous b (SuperLU returns Fortran order) is copied first, as
+    a complex product would."""
     c = np.ascontiguousarray(b if b.ndim == 2 else b[:, None])
     return (Q @ c.view(np.float64)).view(np.complex128).reshape(b.shape)

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mmdg import linalg
-from mmdg.assembly import assemble_a_h, assemble_standard
-from mmdg.dg_core import DGField, eval_field
+from mmdg.assembly import SystemMatrix, assemble_a_h, assemble_standard
+from mmdg.dg_core import DGField, eval_field, ref_mass_12
 from mmdg.linalg import mirror_orbits
 from mmdg.mesh import build_uniform_mesh
 
@@ -40,18 +40,29 @@ def test_maxwell_matrix_vs_dense_oracle():
     assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
 
 
+def _halves_of(orbits, U):
+    """The half of each column of QU: 2 * sector, plus 1 where the
+    column is odd under its sector's swap (U's entries differ in sign)."""
+    Uc = U.tocsc()
+    first = Uc.indptr[:-1]
+    odd = (np.diff(Uc.indptr) == 2) & (np.minimum.reduceat(Uc.data, first) < 0)
+    return 2 * orbits.sector[Uc.indices[first]] + odd
+
+
 def test_lu_reconstruction_residual():
-    # the factor is that of B = Q^T A_h Q in the mirror basis, with its
-    # cross-sector round-off dropped
+    # the factor is that of B_h = (QU)^T A_h QU in the mirror basis split
+    # by the swaps, with its cross-half round-off dropped
     mesh = build_uniform_mesh(2)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     lu = fact.lu
     n = fact.n
     orbits = mirror_orbits(mesh)
-    Q, sector = orbits.Q, orbits.sector
-    B = (Q.T @ A.matrix @ Q).toarray()
-    same = sector[:, None] == sector[None, :]
+    U = fact.halves[0]
+    QU = orbits.Q @ U
+    half = _halves_of(orbits, U)
+    B = (QU.T @ A.matrix @ QU).toarray()
+    same = half[:, None] == half[None, :]
     kept = np.where(same, B, 0.0)
     assert np.abs(B[~same]).max() <= 1e-14 * np.abs(B).max()
     Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
@@ -163,9 +174,10 @@ def test_block_solve_shape_mismatch():
 
 
 def test_ordering_keeps_fill_low():
-    # the mirror-block factor, ordered by minimum degree below L=5, fills
-    # A_h 1.38x at L=4 (26 241 entries); the coupled factor filled it 6.3x
-    # with minimum degree on A + A^T and 10.2x with COLAMD
+    # the factor of the 16 half-blocks, ordered by minimum degree below
+    # L=5, fills A_h 0.68x at L=4 (L + U hold 12 868 entries); the coupled
+    # factor filled it 6.3x with minimum degree on A + A^T and 10.2x with
+    # COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     nnz_lu = fact.lu.L.nnz + fact.lu.U.nnz
@@ -174,10 +186,10 @@ def test_ordering_keeps_fill_low():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_mirror_blocks_cut_the_fill(L):
-    # factoring the 8 mirror sectors apart fills 0.22x of the coupled
-    # factor at L=4 (minimum degree) and 0.17x at L=6 (nested dissection,
-    # from L=5 on), so a silent return to the coupled factor fails here
-    # without any timing
+    # factoring the 16 half-blocks apart fills 0.11x of the coupled
+    # factor's L + U at L=4 (minimum degree) and 0.11x at L=6 (nested
+    # dissection, from L=5 on), so a silent return to the coupled factor
+    # fails here without any timing
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     coupled = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A")
@@ -196,14 +208,17 @@ def test_mirror_factor_refuses_an_asymmetric_matrix():
 
 
 def test_mirror_solve_matches_coupled_solve():
-    A = assemble_a_h(build_uniform_mesh(6), 2.0, 1.0, 10.0, 0.1)
+    # odd L has mid-plane cells, and cells on each swap's diagonal, where
+    # the swaps' fixed points are
     rng = np.random.default_rng(7)
-    n = A.matrix.shape[0]
-    b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    x = linalg.solve(linalg.factorize(A), b)
-    ref = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+    for L in (1, 2, 3, 5, 6):
+        A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+        n = A.matrix.shape[0]
+        b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = linalg.solve(linalg.factorize(A), b)
+        ref = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(A.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 8])
@@ -257,16 +272,21 @@ def test_dissection_numbers_the_separator_last(R):
 
 
 def test_nested_dissection_fills_less_than_minimum_degree():
-    # at L=6 the nested-dissection factor of the sector blocks holds
-    # 170 432 entries, against 206 993 for minimum degree on the same block
+    # at L=6 the nested-dissection factor of the half-blocks holds 106 748
+    # entries (SuperLU.nnz), against 238 428 for minimum degree on the 8
+    # unsplit sector blocks and 135 247 for minimum degree on the halves
     mesh = build_uniform_mesh(6)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
-    mmd = spla.splu(linalg.sector_blocks(A.matrix, mirror_orbits(mesh)),
+    orbits = mirror_orbits(mesh)
+    mmd = spla.splu(linalg.sector_blocks(A.matrix, orbits),
                     permc_spec="MMD_AT_PLUS_A")
     assert fact.ordering == "nested_dissection"
     assert fact.lu.L.nnz + fact.lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
     assert fact.lu.nnz <= mmd.nnz
+    halves_mmd = spla.splu(linalg.half_blocks(A.matrix, orbits)[0],
+                           permc_spec="MMD_AT_PLUS_A")
+    assert fact.lu.nnz <= halves_mmd.nnz
     assert fact.stats == {"ordering": "nested_dissection",
                           "nnz_A": A.matrix.nnz, "nnz_LU": fact.lu.nnz}
 
@@ -333,6 +353,120 @@ def test_a_h_does_not_couple_mirror_sectors(L, k, lam, gamma0, gamma1):
     assert np.abs(B.data[cross]).max() <= 1e-14 * np.abs(B.data).max()
 
 
+def _swap_of(sector):
+    """The axes the swap of a sector exchanges: y, z if the sector's y and
+    z bits agree, else x, z, else x, y."""
+    bit = [sector >> a & 1 for a in range(3)]
+    if bit[1] == bit[2]:
+        return 1, 2
+    return (0, 2) if bit[0] == bit[2] else (0, 1)
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_pairing_is_each_sectors_axis_swap(L):
+    mesh = build_uniform_mesh(L)
+    orbits = mirror_orbits(mesh)
+    n, pair, sector = 12 * L**3, orbits.pair, orbits.sector
+    assert np.array_equal(pair[pair], np.arange(n))
+    assert np.array_equal(sector[pair], sector)
+    ijk = np.stack(np.unravel_index(np.arange(mesh.n_cells), (L,) * 3))
+    for s in range(8):
+        # the swap on the dofs: cell (i_0, i_1, i_2), component c and
+        # monomial t_m go to the cell with i_a, i_b exchanged, component
+        # swap(c) and monomial t_swap(m); it maps column j of Q to pair[j]
+        a, b = _swap_of(s)
+        axes = np.arange(3)
+        axes[[a, b]] = b, a
+        cell = np.ravel_multi_index(ijk[axes], (L,) * 3)
+        loc = 4 * axes[:, None] + np.concatenate([[0], axes + 1])
+        dof = (12 * cell[:, None] + loc.ravel()).ravel()
+        cols = np.flatnonzero(sector == s)
+        moved = orbits.Q[dof][:, cols] - orbits.Q[:, pair[cols]]
+        assert moved.count_nonzero() == 0
+    # U is orthogonal, and its 16 halves hold every column once, each half
+    # in the order of its lead columns
+    B, U = linalg.half_blocks(
+        assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix, orbits)
+    assert abs(U.T @ U - sp.identity(n)).max() <= 1e-15
+    half = _halves_of(orbits, U)
+    assert np.bincount(half, minlength=16).sum() == n
+    Uc = U.tocsc()
+    lead = Uc.indices[Uc.indptr[:-1]]
+    assert np.array_equal(lead, np.minimum(lead, pair[lead]))
+    assert np.all(np.diff(half) >= 0)
+    assert np.all(np.diff(lead)[np.diff(half) == 0] > 0)
+    B = B.tocoo()
+    assert np.array_equal(half[B.row], half[B.col])
+
+
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("k, lam, gamma0, gamma1",
+                         [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
+def test_a_h_does_not_couple_swap_halves(L, k, lam, gamma0, gamma1):
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
+    orbits = mirror_orbits(mesh)
+    B_h, U = linalg.half_blocks(A.matrix, orbits)
+    QU = orbits.Q @ U
+    half = _halves_of(orbits, U)
+    B = (QU.T @ A.matrix @ QU).tocoo()
+    cross = half[B.row] != half[B.col]
+    assert np.abs(B.data[cross]).max() <= 1e-14 * np.abs(B.data).max()
+    kept = sp.csc_matrix((B.data[~cross], (B.row[~cross], B.col[~cross])),
+                         shape=B.shape)
+    assert abs(B_h - kept).max() <= 1e-14 * abs(kept).max()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_half_blocks_refuse_a_matrix_that_breaks_a_swap(L):
+    # 1e-9 max|A| on every cell's x-component mass block commutes with the
+    # mirrors and with y<->z, not with x<->y or x<->z: sectors 2 and 5
+    # (x<->z) and 3 and 4 (x<->y) must refuse it
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix
+    block = np.zeros((12, 12))
+    block[:4, :4] = ref_mass_12()[:4, :4]
+    bad = sp.csc_matrix(A + 1e-9 * abs(A.data).max()
+                        * sp.kron(sp.identity(mesh.n_cells), block))
+    orbits = mirror_orbits(mesh)
+    linalg.sector_blocks(bad, orbits)                # the mirrors accept it
+    y_z = np.isin(orbits.sector, [0, 1, 6, 7])       # and so does y<->z
+    linalg.half_blocks(bad, orbits._replace(
+        pair=np.where(y_z, orbits.pair, np.arange(A.shape[0]))))
+    with pytest.raises(ValueError, match="not swap-invariant"):
+        linalg.half_blocks(bad, orbits)
+    with pytest.raises(ValueError, match="not swap-invariant"):
+        linalg.factorize(SystemMatrix(bad, mirror_mesh=mesh))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_half_blocks_refuse_a_wrong_pairing_table(L):
+    # two pairs of sector 0 exchange their images: the table is still an
+    # involution of each sector, but no longer the swap
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    orbits = mirror_orbits(mesh)
+    pair = orbits.pair.copy()
+    a, b = np.flatnonzero((pair > np.arange(pair.size))
+                          & (orbits.sector == 0))[:2]
+    pair[[a, b, pair[a], pair[b]]] = pair[b], pair[a], b, a
+    assert np.array_equal(pair[pair], np.arange(pair.size))
+    with pytest.raises(ValueError, match="not swap-invariant"):
+        linalg.half_blocks(A.matrix, orbits._replace(pair=pair))
+
+
+def test_one_superlu_holds_the_sixteen_halves(monkeypatch):
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda *args, **kw:
+                        calls.append(1) or splu(*args, **kw))
+    fact = linalg.factorize(assemble_a_h(build_uniform_mesh(5), 2.0, 1.0,
+                                         10.0, 0.1))
+    assert len(calls) == 1
+    assert isinstance(fact.lu, spla.SuperLU)
+    assert fact.stats["ordering"] == "nested_dissection"
+
+
 def _sector_diagonal_of_product(mesh, A):
     """The oracle: Q^T A Q by two sparse products, its cross-sector
     entries dropped."""
@@ -396,6 +530,17 @@ def test_sector_blocks_accept_round_off(L, k, lam, gamma0, gamma1,
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     linalg.sector_blocks(A.matrix, mirror_orbits(mesh))
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_half_blocks_accept_round_off(L, monkeypatch):
+    # the probe of (QU)^T A QU V = B_h V reads at most 6.0e-15 of max|A|
+    # max|V| on A_h up to L=8 (3.8e-15 at L = 10, 12, 16, first set)
+    monkeypatch.setattr(linalg, "MIRROR_TOL", linalg.MIRROR_TOL / 20)
+    mesh = build_uniform_mesh(L)
+    for params in PARAMETER_SETS:
+        linalg.half_blocks(assemble_a_h(mesh, *params).matrix,
+                           mirror_orbits(mesh))
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -467,12 +612,13 @@ def test_sector_blocks_peak_memory():
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
                                     "real"])
 def test_mirror_solve_is_q_lu_qt_bitwise(layout):
-    # Q is applied as a real matrix to the float64 view of b; that must
-    # give the same bits as the complex products, whatever b's layout
+    # the solve is Q U LU^-1 U^T Q^T b, Q and U each applied as a real
+    # matrix to the float64 view of its operand; that must give the same
+    # bits as the complex products, whatever b's layout
     fact = linalg.factorize(assemble_a_h(build_uniform_mesh(4), 2.0, 1.0,
                                          10.0, 0.1))
-    Q, Qt = fact.basis
-    assert Q.dtype == Qt.dtype == np.float64
+    (Q, Qt), (U, Ut) = fact.basis, fact.halves
+    assert Q.dtype == Qt.dtype == U.dtype == Ut.dtype == np.float64
     rng = np.random.default_rng(8)
     full = (rng.normal(size=(fact.n, 6))
             + 1j * rng.normal(size=(fact.n, 6)))
@@ -480,7 +626,8 @@ def test_mirror_solve_is_q_lu_qt_bitwise(layout):
          "Fortran": np.asfortranarray(full), "strided": full[:, ::2],
          "real": full.real.copy()}[layout]
     x = linalg.solve(fact, b)
-    ref = Q.astype(complex) @ fact.lu.solve(Q.T.astype(complex) @ b)
+    ref = Q.astype(complex) @ (U.astype(complex) @ fact.lu.solve(
+        U.T.astype(complex) @ (Q.T.astype(complex) @ b)))
     assert x.shape == b.shape
     assert np.array_equal(x, ref)
 
