@@ -13,9 +13,9 @@ is 8 independent sector blocks, one per parity under the mirrors.  Two of
 a sector's three parities agree, so the swap of those two axes permutes
 the sector's columns (pair), and U, whose columns are the pairs' sums and
 differences over sqrt 2, splits each sector into its swap-even and
-swap-odd halves.  half_blocks folds the 16 diagonal blocks B_h of
-(QU)^T A QU, each about 1/16 of A, from the 12x12 cell blocks of A at the
-representative cells, and one SuperLU holds them all.  A solve is
+swap-odd halves.  half_blocks, the one fold, builds U and the 16 diagonal
+blocks B_h of (QU)^T A QU, each about 1/16 of A, from the 12x12 cell
+blocks of A at the representative cells; one SuperLU holds them.  A solve is
 x = Q U B_h^{-1} U^T Q^T b, right only if (QU)^T A QU = B_h; half_blocks
 checks that identity on 4 fixed random columns, so an A that does not
 commute with the mirrors and the swaps, and a wrong orbit or pairing
@@ -25,8 +25,8 @@ each acts on the (n, 2B) float64 view of a C-contiguous complex block:
 half the flops of a complex product, with bitwise the same result.
 
 mirror_orbits numbers each sector's columns by nested dissection of its
-cell grid at every L, and a half takes its columns in the order of their
-lead columns min(j, pair[j]).  From L = NESTED_MIN_L = 5 on, SuperLU
+cell grid at every L, and U's columns go by half, then by their lead
+columns min(j, pair[j]).  From L = NESTED_MIN_L = 5 on, SuperLU
 keeps that order (NATURAL); below, it reorders B_h by minimum degree on
 B_h + B_h^T (MMD_AT_PLUS_A).  Neither joins two blocks.  SuperLU.nnz is
 106 748 at L=6 and 430 668 at L=8, against 170 432 and 709 184 for the 8
@@ -66,6 +66,8 @@ ROUNDOFF = 1e-14
 # From this L on SuperLU keeps the halves' nested-dissection order.  At
 # L=4 minimum degree stores less (SuperLU.nnz 14 798 against 15 293) and
 # solves 16 columns faster (0.39 against 0.44 ms, best of 7, 2 vCPUs).
+# The best order is not monotone in L: NATURAL also wins at L=3 (3 060
+# against 4 270), but only tests run L=3, so one threshold is kept.
 NESTED_MIN_L = 5
 
 
@@ -231,8 +233,8 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
     and the orthogonal U that splits each sector of B = Q^T A Q into its
     swap-even and swap-odd halves, 16 blocks in all.  For a pair j < k =
     pair[j], U has the columns (e_j +- e_k)/sqrt 2, for a fixed point
-    e_j in the even half; each half runs sector by sector, even first,
-    in the order of its lead columns j <= pair[j].  B_h is folded with no
+    e_j in the even half.  One sort numbers them: by half, 2 sector + 1
+    if odd, then by lead column min(j, pair[j]).  B_h is folded with no
     n-by-n product, as the transpose of the fold of A^T, from the lead
     rows of B^T = Q^T A^T Q: B^T commutes with the swap, so row (j, +-) of
     B_h^T is B^T[j, k] +- B^T[j, pair[k]], times a power of sqrt 2.  Those
@@ -247,27 +249,18 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
     MIRROR_TOL of max|A| max|V|."""
     n, nc = mat.shape[0], orbits.rep.size
     j = np.arange(n)
-    lead, paired = orbits.pair >= j, orbits.pair != j
-    # each lead column heads an even column of U, and a paired one an odd
-    # column too; numbered stably by half, 2 sector + odd, they keep the
-    # lead columns' order, and a column's image shares its numbers
-    new = np.empty(n, dtype=np.intp)
-    new[np.argsort(np.concatenate([2 * orbits.sector[lead],
-                                   2 * orbits.sector[lead & paired] + 1]),
-                   kind="stable")] = j
-    even = np.empty(n, dtype=np.intp)
-    even[lead] = new[:np.count_nonzero(lead)]
-    even[~lead] = even[orbits.pair[~lead]]
-    odd = np.full(n, -1)
-    odd[lead & paired] = new[np.count_nonzero(lead):]
-    odd[~lead] = odd[orbits.pair[~lead]]
+    lo, hi = np.minimum(j, orbits.pair), np.maximum(j, orbits.pair)
+    lead, paired = lo == j, lo != hi
+    # U's columns go by half, 2 sector + odd, then by lead column: an
+    # orbit's lead column lo numbers its even column, hi its odd one
+    at = np.empty(n, dtype=np.intp)
+    at[np.lexsort((lo, 2 * orbits.sector + ~lead))] = j
+    even, odd = at[lo], np.where(paired, at[hi], -1)
     root = np.where(paired, np.sqrt(0.5), 1.0)     # U[j, even[j]]
     sgn = np.where(lead, 1.0, -1.0)                # U[j, odd[j]] / sqrt 1/2
-    entry = np.column_stack([np.ones(n, dtype=bool), paired])
-    U = sp.csr_matrix((np.column_stack([root, sgn * np.sqrt(0.5)])[entry],
-                       np.column_stack([even, odd])[entry],
-                       np.concatenate([[0], np.cumsum(entry.sum(axis=1))])),
-                      shape=(n, n))
+    U = sp.csr_matrix((np.concatenate([root, sgn[paired] * np.sqrt(0.5)]),
+                       (np.concatenate([j, j[paired]]),
+                        np.concatenate([even, odd[paired]]))), shape=(n, n))
     # A^T's block rows at the representative cells p, cut from A's CSC
     # arrays; K is the block at (p, q)
     reps = np.flatnonzero(orbits.rep == np.arange(nc))
@@ -302,12 +295,6 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
                          f"invariant: (QU)^T A QU V misses B_h V by "
                          f"{gap / scale:.1e} of max|A| max|V|")
     return B, U
-
-
-def sector_blocks(mat, orbits: MirrorOrbits) -> sp.csc_matrix:
-    """The 8 sector blocks B of Q^T A Q alone: half_blocks with every
-    column its own image, so that U = I."""
-    return half_blocks(mat, orbits._replace(pair=np.arange(mat.shape[0])))[0]
 
 
 @functools.cache

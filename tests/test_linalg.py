@@ -40,6 +40,12 @@ def test_maxwell_matrix_vs_dense_oracle():
     assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
 
 
+def _unsplit(orbits):
+    """The orbit table with every column its own image: U = I, and
+    half_blocks folds the 8 unsplit sector blocks of Q^T A Q."""
+    return orbits._replace(pair=np.arange(orbits.pair.size))
+
+
 def _halves_of(orbits, U):
     """The half of each column of QU: 2 * sector, plus 1 where the
     column is odd under its sector's swap (U's entries differ in sign)."""
@@ -279,7 +285,7 @@ def test_nested_dissection_fills_less_than_minimum_degree():
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     orbits = mirror_orbits(mesh)
-    mmd = spla.splu(linalg.sector_blocks(A.matrix, orbits),
+    mmd = spla.splu(linalg.half_blocks(A.matrix, _unsplit(orbits))[0],
                     permc_spec="MMD_AT_PLUS_A")
     assert fact.ordering == "nested_dissection"
     assert fact.lu.L.nnz + fact.lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
@@ -399,10 +405,12 @@ def test_pairing_is_each_sectors_axis_swap(L):
     assert np.array_equal(half[B.row], half[B.col])
 
 
-@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k, lam, gamma0, gamma1",
                          [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
 def test_a_h_does_not_couple_swap_halves(L, k, lam, gamma0, gamma1):
+    # B_h, folded from A's cell blocks with no n-by-n product, is the
+    # half-diagonal of the product (QU)^T A QU
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     orbits = mirror_orbits(mesh)
@@ -429,7 +437,7 @@ def test_half_blocks_refuse_a_matrix_that_breaks_a_swap(L):
     bad = sp.csc_matrix(A + 1e-9 * abs(A.data).max()
                         * sp.kron(sp.identity(mesh.n_cells), block))
     orbits = mirror_orbits(mesh)
-    linalg.sector_blocks(bad, orbits)                # the mirrors accept it
+    linalg.half_blocks(bad, _unsplit(orbits))        # the mirrors accept it
     y_z = np.isin(orbits.sector, [0, 1, 6, 7])       # and so does y<->z
     linalg.half_blocks(bad, orbits._replace(
         pair=np.where(y_z, orbits.pair, np.arange(A.shape[0]))))
@@ -483,11 +491,11 @@ def _sector_diagonal_of_product(mesh, A):
                          [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
 def test_sector_blocks_are_the_diagonal_blocks_of_the_product(
         L, k, lam, gamma0, gamma1):
-    # the blocks are folded from A's cell blocks, with no n-by-n product
+    # the 8 unsplit sector blocks, which the tests take as a reference
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     oracle = _sector_diagonal_of_product(mesh, A)
-    B = linalg.sector_blocks(A.matrix, mirror_orbits(mesh))
+    B, _ = linalg.half_blocks(A.matrix, _unsplit(mirror_orbits(mesh)))
     assert abs(B - oracle).max() <= 1e-14 * abs(oracle).max()
 
 
@@ -524,12 +532,13 @@ PARAMETER_SETS = [(2.0, 1.0, 10.0, 0.1), (7.5, 0.3, 100.0, 3.0),
 @pytest.mark.parametrize("k, lam, gamma0, gamma1", PARAMETER_SETS)
 def test_sector_blocks_accept_round_off(L, k, lam, gamma0, gamma1,
                                         monkeypatch):
-    # the probe reads at most 4.0e-15 of max|A| max|V| on A_h up to L=8
-    # (7.0e-15 up to L=20): accepted with 20x to spare
+    # with U = I, the probe of Q^T A Q V = B V reads at most 4.0e-15 of
+    # max|A| max|V| on A_h up to L=8 (7.0e-15 up to L=20): accepted with
+    # 20x to spare
     monkeypatch.setattr(linalg, "MIRROR_TOL", linalg.MIRROR_TOL / 20)
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
-    linalg.sector_blocks(A.matrix, mirror_orbits(mesh))
+    linalg.half_blocks(A.matrix, _unsplit(mirror_orbits(mesh)))
 
 
 @pytest.mark.parametrize("L", range(1, 9))
@@ -546,55 +555,58 @@ def test_half_blocks_accept_round_off(L, monkeypatch):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_sector_blocks_refuse_one_moved_entry(L):
     # Moving one entry of A by 1e-11 of the largest breaks the symmetry
-    # unless every mirror fixes it, that is unless Q^T E Q keeps the
-    # single-entry E within one sector; at L=1 that holds for 15 of the 54
-    # entries.  The probe reads at least 9.1e-13 on the others (every
-    # entry, L <= 4).  The earlier check, which compared each centred cell
-    # block of A with its mirror images at 1e-12 of the largest, refused
-    # the same entries (all 54 at L=1, all 7506 at L=3, these 60 at L=2, 4).
+    # unless the mirrors and the swaps fix it, that is unless
+    # (QU)^T E QU keeps the single-entry E within one half; at L=1 that
+    # holds for 1 of the 54 entries.  The probe reads at least 1.4e-12 on
+    # the others (these 60 per L, L <= 4).
     mesh = build_uniform_mesh(L)
     A = sp.csc_matrix(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix)
     orbits = mirror_orbits(mesh)
-    Q = orbits.Q
+    U = linalg.half_blocks(A, orbits)[1]
+    QU, half = (orbits.Q @ U).tocsr(), _halves_of(orbits, U)
     rows = A.indices
     cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
     moved = 0
     for at in np.random.default_rng(L).choice(A.nnz, min(A.nnz, 60),
                                               replace=False):
-        sectors = np.union1d(orbits.sector[Q[rows[at]].indices],
-                             orbits.sector[Q[cols[at]].indices])
+        halves = np.union1d(half[QU[rows[at]].indices],
+                            half[QU[cols[at]].indices])
         bad = A.copy()
         bad.data[at] += 1e-11 * abs(A.data).max()
-        if len(sectors) == 1:
-            linalg.sector_blocks(bad, orbits)
+        if len(halves) == 1:
+            linalg.half_blocks(bad, orbits)
             continue
         moved += 1
         with pytest.raises(ValueError, match="not mirror-invariant"):
-            linalg.sector_blocks(bad, orbits)
+            linalg.half_blocks(bad, orbits)
     assert moved
 
 
-@pytest.mark.parametrize("field", ["sign", "size"])
+@pytest.mark.parametrize("field", ["sign", "size", "column"])
 def test_sector_blocks_refuse_a_wrong_orbit_table(field):
-    # the earlier check compared A with its mirror images and never looked
-    # at the fold: it accepted both tables, whose solves then had backward
-    # errors of 0.17 (sign) and 0.036 (size)
+    # a check that compared A with its mirror images and never looked at
+    # the fold accepted the sign and size tables, whose solves then had
+    # backward errors of 0.17 (sign) and 0.036 (size)
     mesh = build_uniform_mesh(4)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     orbits = mirror_orbits(mesh)
     wrong = getattr(orbits, field).copy()
-    if field == "sign":              # cell 1 is a representative
-        wrong[(1, *np.argwhere(wrong[1] != 0)[0])] *= -1
-    else:
+    at = np.argwhere(orbits.sign[1] != 0)    # cell 1 is a representative
+    if field == "sign":
+        wrong[(1, *at[0])] *= -1
+    elif field == "size":
         wrong[0] += 1
+    else:                            # two of its columns in sector 0
+        loc = at[at[:, 0] == 0, 1][:2]
+        wrong[1, 0, loc] = wrong[1, 0, loc[::-1]]
     with pytest.raises(ValueError, match="not mirror-invariant"):
-        linalg.sector_blocks(A.matrix, orbits._replace(**{field: wrong}))
+        linalg.half_blocks(A.matrix, orbits._replace(**{field: wrong}))
 
 
 def test_sector_blocks_peak_memory():
-    # folding the representative rows alone peaks at 5.8x A's entries at
-    # L=6; centring every cell block and comparing it with its mirror
-    # images took 8.6x
+    # folding the half-blocks from the representative rows alone peaks at
+    # 3.3x A's entries at L=6 (4.3x with U = I); centring every cell block
+    # and comparing it with its mirror images took 8.6x
     import tracemalloc
 
     mesh = build_uniform_mesh(6)
@@ -602,7 +614,7 @@ def test_sector_blocks_peak_memory():
     orbits = mirror_orbits(mesh)
     tracemalloc.start()
     try:
-        linalg.sector_blocks(A.matrix, orbits)
+        linalg.half_blocks(A.matrix, orbits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
