@@ -6,32 +6,40 @@ substitutions, for one right-hand side or a block of them at once.
 
 The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
-commutes with the cube's three mirrors x_a -> 1 - x_a and with its axis
-swaps.  Its SystemMatrix names that mesh, and such a matrix is factored
-in the mesh's mirror basis Q, which mirror_orbits tabulates: B = Q^T A Q
-is 8 independent sector blocks, one per parity under the mirrors.  Two of
-a sector's three parities agree, so the swap of those two axes permutes
-the sector's columns (pair), and U, whose columns are the pairs' sums and
-differences over sqrt 2, splits each sector into its swap-even and
-swap-odd halves.  half_blocks, the one fold, builds U and the 16 diagonal
-blocks B_h of (QU)^T A QU, each about 1/16 of A, from the 12x12 cell
-blocks of A at the representative cells; one SuperLU holds them.  A solve is
-x = Q U B_h^{-1} U^T Q^T b, right only if (QU)^T A QU = B_h; half_blocks
-checks that identity on 4 fixed random columns, so an A that does not
-commute with the mirrors and the swaps, and a wrong orbit or pairing
-table, are refused with ValueError.  Q's entries are real (+-1, +-1/2),
-and U's (+-1, +-1/sqrt 2), so Q, U and their transposes are float64 and
-each acts on the (n, 2B) float64 view of a C-contiguous complex block:
-half the flops of a complex product, with bitwise the same result.
+commutes with the cube's three mirrors x_a -> 1 - x_a, with its axis
+swaps and with its axis cycle x -> y -> z -> x.  Its SystemMatrix names
+that mesh, and such a matrix is factored in the mesh's mirror basis Q,
+which mirror_orbits tabulates: B = Q^T A Q is 8 independent sector
+blocks, one per parity under the mirrors.  Two of a sector's three
+parities agree, so the swap of those two axes permutes the sector's
+columns (pair), and U, whose columns are the pairs' sums and differences
+over sqrt 2, splits each sector into its swap-even and swap-odd halves.
+The cycle fixes sectors 0 and 7 and carries 1 to 2 to 4 and 3 to 6 to 5;
+mirror_orbits numbers 2, 6 and 4, 5 as the images of 1 and 3, and U
+orders its halves in four chunks of sectors, [0, 7 | 1, 3 | 2, 6 | 4, 5],
+so that (QU)^T A QU = diag(D_07, D_13, D_13, D_13).  half_blocks, the one
+fold, builds U and the 8 distinct half-blocks, D_07 and D_13, each of
+n/4 columns, from the 12x12 cell blocks of A at the representative cells;
+one SuperLU holds each, and MirrorLU the pair.  A solve is x = Q U D^{-1}
+U^T Q^T b, one call of D_07's factor on chunk 0 and one of D_13's on
+chunks 1, 2, 3 side by side; it is right only if (QU)^T A QU is that
+block diagonal, which half_blocks checks on 4 fixed random columns, so
+an A that does not commute with the mirrors, the swaps and the cycle,
+and a wrong orbit, pairing or cycle numbering, are refused with
+ValueError.  Q's entries are real (+-1, +-1/2), and U's (+-1, +-1/sqrt
+2), so Q, U and their transposes are float64 and each acts on the (n, 2B)
+float64 view of a C-contiguous complex block: half the flops of a
+complex product, with bitwise the same result.
 
-mirror_orbits numbers each sector's columns by nested dissection of its
-cell grid at every L, and U's columns go by half, then by their lead
-columns min(j, pair[j]).  From L = NESTED_MIN_L = 5 on, SuperLU
-keeps that order (NATURAL); below, it reorders B_h by minimum degree on
-B_h + B_h^T (MMD_AT_PLUS_A).  Neither joins two blocks.  SuperLU.nnz is
-106 748 at L=6 and 430 668 at L=8, against 170 432 and 709 184 for the 8
-sector blocks and 1 004 072 and 3 787 360 for the coupled factor of A_h;
-it can move with round-off in B_h, through pivoting.
+mirror_orbits numbers the columns of sectors 0, 7, 1 and 3 by nested
+dissection of their cell grid at every L, and U's columns go by half,
+then by their lead columns min(j, pair[j]).  From L = NESTED_MIN_L = 5
+on, SuperLU keeps that order (NATURAL); below, it reorders each part by
+minimum degree on D + D^T (MMD_AT_PLUS_A).  Neither joins two halves.
+SuperLU.nnz, summed over the two parts, is 52 758 at L=6 and 214 469 at
+L=8, against 106 748 and 430 668 for the 16 halves, 170 432 and 709 184
+for the 8 sector blocks and 1 004 072 and 3 787 360 for the coupled
+factor of A_h; it can move with round-off in D, through pivoting.
 
 one_blas_thread holds every OpenBLAS the process has mapped at one thread
 while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
@@ -55,19 +63,21 @@ import scipy.sparse.linalg as spla
 
 from .dg_core import N_LOCAL
 
-# Largest gap (QU)^T A QU V - B_h V half_blocks accepts, relative to
-# max|A| max|V|: round-off on A_h reads <= 6.0e-15 (L <= 8; 3.8e-15 at
-# L = 10, 12, 16), and <= 7.0e-15 with U = I (L <= 20); moving one entry of
-# A by 1e-11 max|A| reads >= 1.2e-12 unless the entry stays in one half
-# (every entry at L <= 2, 300 sampled at L = 3, 4, 5).
+# Largest gap (QU)^T A QU V - D V half_blocks accepts, relative to
+# max|A| max|V|: round-off on A_h reads <= 5.6e-15 (L <= 8, three
+# parameter sets; 3.8e-15 at L = 10, 5.4e-15 at L = 12, 4.2e-15 at L = 16),
+# and <= 4.5e-15 with every column its own image (L <= 12); moving one
+# entry of A by 1e-11 max|A| reads >= 9.4e-13 unless the entry stays in
+# one half of sector 0 or 7 (every entry at L <= 2, 300 sampled at L = 3,
+# 4, 5).
 MIRROR_TOL = 2e-13
 # Half-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
-# From this L on SuperLU keeps the halves' nested-dissection order.  At
-# L=4 minimum degree stores less (SuperLU.nnz 14 798 against 15 293) and
-# solves 16 columns faster (0.39 against 0.44 ms, best of 7, 2 vCPUs).
-# The best order is not monotone in L: NATURAL also wins at L=3 (3 060
-# against 4 270), but only tests run L=3, so one threshold is kept.
+# From this L on SuperLU keeps the parts' nested-dissection order.  At L=4
+# minimum degree stores less (SuperLU.nnz 7 418 against 7 609, both parts)
+# and solves 16 columns faster (0.39 against 0.41 ms, best of 7, 2 vCPUs).
+# The best order is not monotone in L: NATURAL also wins at L=3 (1 454
+# against 2 030), but only tests run L=3, so one threshold is kept.
 NESTED_MIN_L = 5
 
 
@@ -84,14 +94,52 @@ class SingularMatrixError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """Stored sparse LU factors P B Pc = L U.  For a mirror-invariant A,
-    B is the block-diagonal half_blocks of A, basis holds its mirror basis
-    (Q, Q^T) and halves the orthogonal (U, U^T) that splits each mirror
-    sector by an axis swap, all float64, so that A^-1 = Q U B^-1 U^T Q^T;
-    otherwise B is A and basis and halves are None."""
+class MirrorLU:
+    """The LU factors of diag(D_07, D_13), one SuperLU each, where
+    (QU)^T A QU = D = diag(D_07, D_13, D_13, D_13) (see half_blocks).
+    solve applies D^-1 to columns in U's numbering: D_07's factor to chunk
+    0, and D_13's to chunks 1, 2 and 3 stacked side by side, in one call.
+    nnz, L and U are those of diag(D_07, D_13)'s factor, each stored entry
+    once: the parts' sums and block diagonals, L and U built on read as
+    SuperLU's are."""
 
-    lu: "spla.SuperLU"
+    parts: tuple[spla.SuperLU, spla.SuperLU]
+
+    @property
+    def nnz(self) -> int:
+        return sum(part.nnz for part in self.parts)
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return sp.block_diag([part.L for part in self.parts], format="csc")
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return sp.block_diag([part.U for part in self.parts], format="csc")
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        (n07, _), (n13, _) = (part.shape for part in self.parts)
+        cols = y.reshape(len(y), -1)
+        B = cols.shape[1]
+        x = np.empty(cols.shape, dtype=np.complex128)
+        x[:n07] = self.parts[0].solve(cols[:n07])
+        # column k B + b of the stacked block is column b of chunk k + 1
+        stacked = cols[n07:].reshape(3, n13, B).transpose(1, 0, 2)
+        x[n07:].reshape(3, n13, B)[:] = self.parts[1].solve(
+            stacked.reshape(n13, 3 * B)).reshape(n13, 3, B).transpose(1, 0, 2)
+        return x.reshape(y.shape)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Stored sparse LU factors.  For a mirror-invariant A, lu is the
+    MirrorLU of its distinct half_blocks, basis holds its mirror basis
+    (Q, Q^T) and halves the orthogonal (U, U^T) that splits each mirror
+    sector by an axis swap, all float64, so that A^-1 = Q U D^-1 U^T Q^T
+    with D = diag(D_07, D_13, D_13, D_13); otherwise lu is A's SuperLU and
+    basis and halves are None."""
+
+    lu: "spla.SuperLU | MirrorLU"
     n: int
     nnz: int                                  # of A
     basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None   # (Q, Q^T)
@@ -109,30 +157,32 @@ class Factorization:
 
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix, or a SystemMatrix wrapper; one that
-    names a mirror_mesh is factored as its 16 half_blocks in one SuperLU,
-    in the column order of mirror_orbits from L = NESTED_MIN_L on."""
+    names a mirror_mesh is factored as its two distinct half_blocks, one
+    SuperLU each, in the column order of mirror_orbits from L =
+    NESTED_MIN_L on."""
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
     basis = halves = None
-    ordering = "mmd"
+    blocks, ordering = (mat,), "mmd"
     if getattr(A, "mirror_mesh", None) is not None:
         orbits = mirror_orbits(A.mirror_mesh)
-        mat, U = half_blocks(mat, orbits)
+        blocks, U = half_blocks(mat, orbits)
         basis = (orbits.Q, orbits.Q.T.tocsr())
         halves = (U, U.T.tocsr())
         if A.mirror_mesh.L >= NESTED_MIN_L:
             ordering = "nested_dissection"
+    permc = {"mmd": "MMD_AT_PLUS_A", "nested_dissection": "NATURAL"}[ordering]
     try:
-        lu = spla.splu(mat, permc_spec={"mmd": "MMD_AT_PLUS_A",
-                                        "nested_dissection": "NATURAL"}[ordering])
+        parts = tuple(spla.splu(block, permc_spec=permc) for block in blocks)
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
-    return Factorization(lu=lu, n=n, nnz=nnz, basis=basis, halves=halves,
+    return Factorization(lu=parts[0] if basis is None else MirrorLU(parts),
+                         n=n, nnz=nnz, basis=basis, halves=halves,
                          ordering=ordering)
 
 
@@ -147,10 +197,13 @@ _MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
 _SWAP = np.array([[0, 2, 1] if s >> 1 & 1 == s >> 2 & 1 else
                   [2, 1, 0] if s & 1 == s >> 2 & 1 else [1, 0, 2]
                   for s in range(8)])
-# _SWAP_LOC[s, loc]: the local dof that swap carries loc = (c, m) to
-_SWAP_LOC = (4 * _SWAP[:, :, None]
-             + np.hstack([np.zeros((8, 1), int), _SWAP + 1])[:, None]
-             ).reshape(8, N_LOCAL)
+# The axis cycle x -> y -> z -> x fixes sectors 0 and 7 and carries 1 to 2
+# to 4 and 3 to 6 to 5: sector s is the _TURNS[s]-th image of _LEAD[s].
+# U's halves go by sector in the chunks of _CHUNKS, each row after the
+# second the image of the row before, so only the first two are folded.
+_LEAD = np.array([0, 1, 1, 3, 1, 3, 3, 7])
+_TURNS = np.array([0, 0, 1, 0, 2, 2, 1, 0])
+_CHUNKS = np.array([[0, 7], [1, 3], [2, 6], [4, 5]])
 
 
 class MirrorOrbits(NamedTuple):
@@ -160,8 +213,11 @@ class MirrorOrbits(NamedTuple):
     sector S has at most one entry per row, and it is 1 at the orbit's
     representative, its cell of least index along each axis.  The axis
     swap _SWAP[s] permutes sector s's columns with sign +1: pair[j] is
-    column j's image, and pair[pair[j]] = j.  half_blocks folds B_h from
-    column, sign, rep, size, sector and pair, and checks it against Q."""
+    column j's image, and pair[pair[j]] = j.  The axis cycle x -> y -> z
+    -> x maps the column of sector s at (cell, loc) to the one of its image
+    sector at their images, with sign +1 and, for s = 1, 3, 2, 6, the
+    same index within its sector.  half_blocks folds D_07 and D_13 from
+    column, sign, rep, size, sector and pair, and checks them against Q."""
 
     Q: sp.csr_matrix    # canonical CSR
     column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
@@ -176,11 +232,14 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     """Orbit table of the mesh's mirrors.  Along one axis, cells i and
     L-1-i make an even and an odd combination numbered min(i, L-1-i), the
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
-    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2,
-    and a sector's columns go by representative in nested-dissection
-    order of that box, then by local dof.  A sector's swap maps the
-    column at (representative c, loc) to the one at (swapped c, swapped
-    loc), read off the same numbering."""
+    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2.
+    The columns of sectors 0, 7, 1 and 3 go by representative in nested-
+    dissection order of that box, then by local dof; sector s = 2, 6 or
+    4, 5, the image of 1 or 3 under the axis cycle to the power
+    _TURNS[s], gives the column at the images of (representative c, loc)
+    the index within its sector of the one at (c, loc).  A sector's swap
+    maps the column at (representative c, loc) to the one at (swapped c,
+    swapped loc), read off the same numbering."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
     R = (L + 1) // 2
     i = np.arange(L)
@@ -193,13 +252,31 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     box = _dissection(box)                      # representatives in order
     at = np.empty((R,) * 3, dtype=np.intp)      # each one's place in box
     at[tuple(box.T)] = np.arange(R ** 3)
+
+    def carry(perm):
+        """Where each sector's axis permutation perm[s] (axis a to
+        perm[s, a]) takes each representative, as its place in box
+        (8, R^3), and each local dof (8, 12)."""
+        cells = at[tuple(np.moveaxis(box.T[np.argsort(perm, axis=1)], 1, 0))]
+        locs = 4 * perm[:, :, None] + np.hstack([np.zeros((8, 1), int),
+                                                 perm + 1])[:, None]
+        return cells, locs.reshape(8, N_LOCAL)
+
     # has[s, c, loc]: the c-th representative has a column in (s, loc)
     has = np.all(box[:, None] < ncol[:, None], axis=3)
-    num = np.cumsum(has).reshape(has.shape) - 1
+    count = has.sum(axis=(1, 2))
+    # a lead sector counts its columns in order; sector s gives the column
+    # at (c, loc) the index its lead has at their image under the cycle
+    # to the power -_TURNS[s]
+    own = np.cumsum(has.reshape(8, -1), axis=1).reshape(has.shape) - 1
+    back, back_loc = carry((np.arange(3) - _TURNS[:, None]) % 3)
+    num = (np.cumsum(count) - count)[:, None, None] + own[
+        _LEAD[:, None, None], back[:, :, None], back_loc[:, None]]
     column = num[:, at[tuple(half)]].transpose(1, 0, 2)
-    image = at[tuple(np.moveaxis(box.T[_SWAP], 1, 0))]         # (8, R^3)
-    pair = num[np.arange(8)[:, None, None], image[:, :, None],
-               _SWAP_LOC[:, None]][has]
+    image, image_loc = carry(_SWAP)
+    pair = np.empty(n, dtype=np.intp)
+    pair[num[has]] = num[np.arange(8)[:, None, None], image[:, :, None],
+                         image_loc[:, None]][has]
     sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
     dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
     v = sign[:, :, src] * _CENTRE[dst, src]
@@ -208,7 +285,7 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
                                      column[:, :, src][v != 0])), shape=(n, n)),
         column=column, sign=sign,
-        sector=np.repeat(np.arange(8), has.sum(axis=(1, 2))),
+        sector=np.repeat(np.arange(8), count),
         rep=np.ravel_multi_index(half, (L,) * 3),
         size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0), pair=pair)
 
@@ -227,34 +304,40 @@ def _dissection(cells: np.ndarray) -> np.ndarray:
                            _dissection(cells[x > mid]), cells[x == mid]])
 
 
-def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
-                                                     sp.csr_matrix]:
-    """(B_h, U): the diagonal blocks B_h of (QU)^T A QU as one CSC matrix,
-    and the orthogonal U that splits each sector of B = Q^T A Q into its
-    swap-even and swap-odd halves, 16 blocks in all.  For a pair j < k =
-    pair[j], U has the columns (e_j +- e_k)/sqrt 2, for a fixed point
-    e_j in the even half.  One sort numbers them: by half, 2 sector + 1
-    if odd, then by lead column min(j, pair[j]).  B_h is folded with no
-    n-by-n product, as the transpose of the fold of A^T, from the lead
-    rows of B^T = Q^T A^T Q: B^T commutes with the swap, so row (j, +-) of
-    B_h^T is B^T[j, k] +- B^T[j, pair[k]], times a power of sqrt 2.  Those
-    rows come from the block rows of A^T at the representative cells, that
-    is A's block columns there: for a mirror-invariant A, A_c = C^T A^T C
-    gives A_c S_s = S_s X_s, with S_s's columns orthogonal, so S_s^T A_c
-    S_s = diag(size) X_s, and row j of X_s is row r_j of A_c S_s, r_j the
-    dof where column j's S_s is 1 at its representative cell.  Entries at
-    most ROUNDOFF of the largest are dropped.  Last, (QU)^T A QU V = B_h V
-    is checked for a fixed block V of 4 normal columns (Freivalds'
-    method): A, or a wrong orbit or pairing table, is refused beyond
-    MIRROR_TOL of max|A| max|V|."""
+def half_blocks(mat, orbits: MirrorOrbits) -> tuple[
+        tuple[sp.csc_matrix, sp.csc_matrix], sp.csr_matrix]:
+    """((D_07, D_13), U): the orthogonal U that splits each sector of B =
+    Q^T A Q into its swap-even and swap-odd halves, 16 in all, and the
+    distinct diagonal blocks of (QU)^T A QU, which for an A that commutes
+    with the mirrors, the swaps and the axis cycle is diag(D_07, D_13,
+    D_13, D_13).  For a pair j < k = pair[j], U has the columns
+    (e_j +- e_k)/sqrt 2, for a fixed point e_j in the even half.  One sort
+    numbers them: by half, 2 (place of the sector in _CHUNKS) + 1 if odd,
+    then by lead column min(j, pair[j]), so that chunk k >= 2 is the image
+    of chunk k - 1 row for row.  D_07 and D_13, the halves of sectors 0, 7
+    and 1, 3, are folded with no n-by-n product, as the transpose of the
+    fold of A^T, from the lead rows of B^T = Q^T A^T Q in those sectors:
+    B^T commutes with the swap, so row (j, +-) of the fold is B^T[j, k] +-
+    B^T[j, pair[k]], times a power of sqrt 2.  Those rows come from the
+    block rows of A^T at the representative cells, that is A's block
+    columns there: for a mirror-invariant A, A_c = C^T A^T C gives A_c S_s
+    = S_s X_s, with S_s's columns orthogonal, so S_s^T A_c S_s = diag(size)
+    X_s, and row j of X_s is row r_j of A_c S_s, r_j the dof where column
+    j's S_s is 1 at its representative cell.  Entries at most ROUNDOFF of
+    the largest are dropped.  Last, (QU)^T A QU V is checked against D_07
+    on chunk 0 of V and D_13 on each of chunks 1, 2, 3, for a fixed block
+    V of 4 normal columns (Freivalds' method): A, or a wrong orbit,
+    pairing or cycle numbering, is refused beyond MIRROR_TOL of max|A|
+    max|V|."""
     n, nc = mat.shape[0], orbits.rep.size
     j = np.arange(n)
     lo, hi = np.minimum(j, orbits.pair), np.maximum(j, orbits.pair)
     lead, paired = lo == j, lo != hi
-    # U's columns go by half, 2 sector + odd, then by lead column: an
-    # orbit's lead column lo numbers its even column, hi its odd one
+    # U's columns go by half, then by lead column: an orbit's lead column
+    # lo numbers its even column, hi its odd one
+    place = np.argsort(_CHUNKS, axis=None)[orbits.sector]
     at = np.empty(n, dtype=np.intp)
-    at[np.lexsort((lo, 2 * orbits.sector + ~lead))] = j
+    at[np.lexsort((lo, 2 * place + ~lead))] = j
     even, odd = at[lo], np.where(paired, at[hi], -1)
     root = np.where(paired, np.sqrt(0.5), 1.0)     # U[j, even[j]]
     sgn = np.where(lead, 1.0, -1.0)                # U[j, odd[j]] / sqrt 1/2
@@ -270,31 +353,39 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[sp.csc_matrix,
     K = At.data                                 # K becomes C^T K C:
     for part in (K.reshape(-1, 4), K.reshape(-1, 4, N_LOCAL)):
         part[:, 1:] -= 0.5 * part[:, :1]      # (c, m>0) less half of (c, 0)
-    is_lead = (orbits.sign != 0) & lead[orbits.column]
+    # the rows of the folded sectors 0, 7, 1, 3 only
+    column, sign = (t[:, _CHUNKS[:2].ravel()] for t in (orbits.column,
+                                                         orbits.sign))
+    is_lead = (sign != 0) & lead[column]
     blk, sec, i, jj = np.nonzero((K != 0)[:, None]
                                  & is_lead[p][..., None]
-                                 & (orbits.sign[q] != 0)[:, :, None, :])
-    r, c = orbits.column[p[blk], sec, i], orbits.column[q[blk], sec, jj]
-    v = K[blk, i, jj] * orbits.size[p[blk]] * orbits.sign[q[blk], sec, jj]
+                                 & (sign[q] != 0)[:, :, None, :])
+    r, c = column[p[blk], sec, i], column[q[blk], sec, jj]
+    v = K[blk, i, jj] * orbits.size[p[blk]] * sign[q[blk], sec, jj]
     both = paired[r] & paired[c]
     # the blocks of one column orbit land on the same entries, summed here;
-    # (r, c) of B_h^T is (c, r) of B_h
-    B = sp.csc_matrix(
+    # (r, c) of the fold of A^T is (c, r) of D
+    chunk = np.bincount(place // 2, minlength=4)   # n_07, then 3 times n_13
+    m = chunk[0] + chunk[1]
+    D = sp.csc_matrix(
         (np.concatenate([v * (root[c] / root[r]), (v * sgn[c])[both]]),
          (np.concatenate([even[c], odd[c[both]]]),
-          np.concatenate([even[r], odd[r[both]]]))), shape=mat.shape)
-    B.data[np.abs(B.data) <= ROUNDOFF * np.abs(B.data).max(initial=0.0)] = 0
-    B.eliminate_zeros()
+          np.concatenate([even[r], odd[r[both]]]))), shape=(m, m))
+    D.data[np.abs(D.data) <= ROUNDOFF * np.abs(D.data).max(initial=0.0)] = 0
+    D.eliminate_zeros()
+    blocks = D[:chunk[0], :chunk[0]], D[chunk[0]:, chunk[0]:]
     V = np.random.default_rng(0).standard_normal((n, 4))
     QUt_A_QU_V = _real_times(U.T, _real_times(
         orbits.Q.T, mat @ (orbits.Q @ (U @ V))))
-    gap = np.abs(QUt_A_QU_V - B @ V).max()
+    DV = np.concatenate([blocks[min(k, 1)] @ part for k, part in
+                         enumerate(np.split(V, np.cumsum(chunk)[:-1]))])
+    gap = np.abs(QUt_A_QU_V - DV).max()
     scale = np.abs(mat.data).max(initial=0.0) * np.abs(V).max()
     if gap > MIRROR_TOL * scale:
-        raise ValueError(f"matrix is not mirror-invariant, or not swap-"
-                         f"invariant: (QU)^T A QU V misses B_h V by "
-                         f"{gap / scale:.1e} of max|A| max|V|")
-    return B, U
+        raise ValueError(f"matrix is not mirror-invariant, not swap-"
+                         f"invariant or not cycle-invariant: (QU)^T A QU V "
+                         f"misses D V by {gap / scale:.1e} of max|A| max|V|")
+    return blocks, U
 
 
 @functools.cache

@@ -8,8 +8,8 @@ factorizations off the result.  A deleted or renamed name would otherwise
 surface only as an error inside a benchmark run.  The tracer also cuts
 samples at every second random_field.draw span, so each sample must make
 exactly two calls of the wrapped draw entry points.  Its layer_metrics
-reads Factorization.nnz and the nnz of the SuperLU factors, which no
-package code reads.
+reads Factorization.nnz and the nnz of lu.L and lu.U, which no package
+code reads.
 """
 
 import importlib
@@ -86,28 +86,34 @@ def test_traced_layer_counts(driver):
     from mmdg.driver import SAMPLE_BLOCK, RunConfig
 
     M, N = 17, 2
-    cfg = RunConfig(L=2, M=M, N=N, workers=1)
-    tracer = TRACER.Tracer()
-    with tracer.run(f"driver.run_{driver}") as run_id:
-        RUN.driver_fn(driver)(cfg)
-    m, _ = TRACER.layer_metrics(tracer, run_id, M)
-    a_h = assemble_a_h(build_uniform_mesh(2), cfg.k, cfg.lam, cfg.gamma0,
-                       cfg.gamma1)
-    assert m["assembly.nnz_A"] == a_h.matrix.nnz
-    assert m["random_field.draws"] == 2 * M
-    if driver == "multimodes":
-        assert m["linalg.factorizations"] == 1
-        # the tracer reads one SuperLU object as the whole factor
-        lu = linalg.factorize(a_h).lu
-        assert m["linalg.nnz_LU"] == lu.L.nnz + lu.U.nnz
-        # modes 0..N-1 solve a column per sample, mode N one per block
-        assert (m["linalg.rhs_solved"]
-                == N * M + math.ceil(M / SAMPLE_BLOCK))
-        assert m["linalg.solve_calls"] == (N + 1) * math.ceil(M / SAMPLE_BLOCK)
-    else:
-        assert m["linalg.nnz_LU"] > 0
-        assert (m["linalg.factorizations"] == m["linalg.rhs_solved"]
-                == m["linalg.solve_calls"] == M)
+    # at L=5 the mirror factor's two parts differ in fill and are ordered
+    # by nested dissection
+    for L in (2, 5):
+        cfg = RunConfig(L=L, M=M, N=N, workers=1)
+        tracer = TRACER.Tracer()
+        with tracer.run(f"driver.run_{driver}") as run_id:
+            RUN.driver_fn(driver)(cfg)
+        m, _ = TRACER.layer_metrics(tracer, run_id, M)
+        a_h = assemble_a_h(build_uniform_mesh(L), cfg.k, cfg.lam, cfg.gamma0,
+                           cfg.gamma1)
+        assert m["assembly.nnz_A"] == a_h.matrix.nnz
+        assert m["random_field.draws"] == 2 * M
+        if driver == "multimodes":
+            assert m["linalg.factorizations"] == 1
+            # the tracer reads Factorization.lu as the whole factor: the
+            # mirror factor's L and U are the block diagonals of its two
+            # SuperLU parts, so their nnz sums the stored blocks
+            lu = linalg.factorize(a_h).lu
+            assert m["linalg.nnz_LU"] == lu.L.nnz + lu.U.nnz
+            # modes 0..N-1 solve a column per sample, mode N one per block
+            assert (m["linalg.rhs_solved"]
+                    == N * M + math.ceil(M / SAMPLE_BLOCK))
+            assert (m["linalg.solve_calls"]
+                    == (N + 1) * math.ceil(M / SAMPLE_BLOCK))
+        else:
+            assert m["linalg.nnz_LU"] > 0
+            assert (m["linalg.factorizations"] == m["linalg.rhs_solved"]
+                    == m["linalg.solve_calls"] == M)
 
 
 def test_numba_stamp_field_exists():

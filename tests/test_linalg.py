@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from mmdg import linalg
 from mmdg.assembly import SystemMatrix, assemble_a_h, assemble_standard
-from mmdg.dg_core import DGField, eval_field, ref_mass_12
+from mmdg.dg_core import DGField, eval_field
 from mmdg.linalg import mirror_orbits
 from mmdg.mesh import build_uniform_mesh
 
@@ -41,9 +41,33 @@ def test_maxwell_matrix_vs_dense_oracle():
 
 
 def _unsplit(orbits):
-    """The orbit table with every column its own image: U = I, and
-    half_blocks folds the 8 unsplit sector blocks of Q^T A Q."""
+    """The orbit table with every column its own image: U permutes the
+    columns into chunk order, and half_blocks folds the 4 distinct
+    unsplit sector blocks of Q^T A Q, of sectors 0, 7 and 1, 3."""
     return orbits._replace(pair=np.arange(orbits.pair.size))
+
+
+# U's halves go by sector in four chunks; chunks 2 and 3 are the images of
+# chunk 1 under the axis cycle x -> y -> z -> x
+CHUNK_ORDER = [0, 7, 1, 3, 2, 6, 4, 5]
+
+
+def _by_chunk(blocks):
+    """(start, block) for U's four chunks: D_07 on chunk 0, D_13 on each
+    of chunks 1, 2, 3."""
+    fixed, cycled = blocks
+    n07, n13 = fixed.shape[0], cycled.shape[0]
+    return [(0, fixed)] + [(n07 + k * n13, cycled) for k in range(3)]
+
+
+def _cycle(L, cells, loc, k):
+    """The k-th power of the axis cycle on cells and local dofs: cell
+    (i, j, l) goes to (l, i, j), component c to c + 1 and monomial t_a to
+    t_(a+1), axes counted mod 3."""
+    ijk = np.array(np.unravel_index(cells, (L,) * 3))
+    c, m = loc // 4, loc % 4
+    return (np.ravel_multi_index(tuple(np.roll(ijk, k, axis=0)), (L,) * 3),
+            4 * ((c + k) % 3) + np.where(m == 0, 0, (m - 1 + k) % 3 + 1))
 
 
 def _halves_of(orbits, U):
@@ -56,13 +80,12 @@ def _halves_of(orbits, U):
 
 
 def test_lu_reconstruction_residual():
-    # the factor is that of B_h = (QU)^T A_h QU in the mirror basis split
-    # by the swaps, with its cross-half round-off dropped
+    # each part of the factor is that of its diagonal block of (QU)^T A_h
+    # QU in the mirror basis split by the swaps, with its cross-half
+    # round-off dropped: chunk 0 (sectors 0, 7) and chunk 1 (sectors 1, 3)
     mesh = build_uniform_mesh(2)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
-    lu = fact.lu
-    n = fact.n
     orbits = mirror_orbits(mesh)
     U = fact.halves[0]
     QU = orbits.Q @ U
@@ -71,11 +94,18 @@ def test_lu_reconstruction_residual():
     same = half[:, None] == half[None, :]
     kept = np.where(same, B, 0.0)
     assert np.abs(B[~same]).max() <= 1e-14 * np.abs(B).max()
-    Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
-    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
-    recon = (Pr.T @ (lu.L @ lu.U) @ Pc.T).toarray()
-    rel = np.abs(recon - kept).max() / np.abs(kept).max()
-    assert rel <= 1e-10
+    start = 0
+    for lu in fact.lu.parts:
+        n = lu.shape[0]
+        Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))),
+                           shape=(n, n))
+        Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)),
+                           shape=(n, n))
+        recon = (Pr.T @ (lu.L @ lu.U) @ Pc.T).toarray()
+        block = kept[start:start + n, start:start + n]
+        rel = np.abs(recon - block).max() / np.abs(block).max()
+        assert rel <= 1e-10
+        start += n
 
 
 def test_zero_rhs_and_determinism():
@@ -180,8 +210,8 @@ def test_block_solve_shape_mismatch():
 
 
 def test_ordering_keeps_fill_low():
-    # the factor of the 16 half-blocks, ordered by minimum degree below
-    # L=5, fills A_h 0.68x at L=4 (L + U hold 12 868 entries); the coupled
+    # the factor of the 8 distinct half-blocks, ordered by minimum degree
+    # below L=5, fills A_h 0.34x at L=4 (L + U hold 6 433 entries); the coupled
     # factor filled it 6.3x with minimum degree on A + A^T and 10.2x with
     # COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
@@ -192,10 +222,10 @@ def test_ordering_keeps_fill_low():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_mirror_blocks_cut_the_fill(L):
-    # factoring the 16 half-blocks apart fills 0.11x of the coupled
-    # factor's L + U at L=4 (minimum degree) and 0.11x at L=6 (nested
-    # dissection, from L=5 on), so a silent return to the coupled factor
-    # fails here without any timing
+    # factoring the 8 distinct half-blocks apart fills 0.05x of the
+    # coupled factor's L + U at L=4 (minimum degree) and 0.05x at L=6
+    # (nested dissection, from L=5 on), so a silent return to the coupled
+    # factor fails here without any timing
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     coupled = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A")
@@ -246,14 +276,18 @@ def test_mirror_basis_is_square_and_grouped(L):
     columns = orbits.column[reps][has]
     assert np.array_equal(np.sort(columns), np.arange(12 * L**3))
     assert np.array_equal(sector[columns], np.nonzero(has)[1])
-    # at every L a sector's columns run by representative in nested-
-    # dissection order of the representatives' box, then by local dof
+    # at every L the columns of sectors 0, 1, 3 and 7 run by
+    # representative in nested-dissection order of the representatives'
+    # box, then by local dof; the other sectors are numbered as their
+    # images under the axis cycle (test_cycled_sectors_are_numbered_as_images)
     R = (L + 1) // 2
     box = np.stack(np.unravel_index(np.arange(R**3), (R,) * 3), axis=1)
     cells = np.ravel_multi_index(linalg._dissection(box).T, (L,) * 3)
     in_order = orbits.column[cells].transpose(1, 0, 2)
-    assert np.array_equal(in_order[orbits.sign[cells].transpose(1, 0, 2) != 0],
-                          np.arange(12 * L**3))
+    kept = orbits.sign[cells].transpose(1, 0, 2) != 0
+    for s in (0, 1, 3, 7):
+        assert np.array_equal(in_order[s][kept[s]],
+                              np.flatnonzero(sector == s))
     # only the factor's column ordering depends on L
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     assert linalg.factorize(A).stats["ordering"] == (
@@ -278,21 +312,23 @@ def test_dissection_numbers_the_separator_last(R):
 
 
 def test_nested_dissection_fills_less_than_minimum_degree():
-    # at L=6 the nested-dissection factor of the half-blocks holds 106 748
-    # entries (SuperLU.nnz), against 238 428 for minimum degree on the 8
-    # unsplit sector blocks and 135 247 for minimum degree on the halves
+    # at L=6 the nested-dissection factor of the distinct half-blocks
+    # holds 52 758 entries (SuperLU.nnz, both parts), against 118 292 for
+    # minimum degree on the 4 distinct unsplit sector blocks and 67 544 for
+    # minimum degree on the distinct halves
     mesh = build_uniform_mesh(6)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     orbits = mirror_orbits(mesh)
-    mmd = spla.splu(linalg.half_blocks(A.matrix, _unsplit(orbits))[0],
-                    permc_spec="MMD_AT_PLUS_A")
+    mmd = [spla.splu(block, permc_spec="MMD_AT_PLUS_A") for block in
+           linalg.half_blocks(A.matrix, _unsplit(orbits))[0]]
     assert fact.ordering == "nested_dissection"
-    assert fact.lu.L.nnz + fact.lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
-    assert fact.lu.nnz <= mmd.nnz
-    halves_mmd = spla.splu(linalg.half_blocks(A.matrix, orbits)[0],
-                           permc_spec="MMD_AT_PLUS_A")
-    assert fact.lu.nnz <= halves_mmd.nnz
+    assert (fact.lu.L.nnz + fact.lu.U.nnz
+            <= sum(lu.L.nnz + lu.U.nnz for lu in mmd))
+    assert fact.lu.nnz <= sum(lu.nnz for lu in mmd)
+    halves_mmd = [spla.splu(block, permc_spec="MMD_AT_PLUS_A") for block in
+                  linalg.half_blocks(A.matrix, orbits)[0]]
+    assert fact.lu.nnz <= sum(lu.nnz for lu in halves_mmd)
     assert fact.stats == {"ordering": "nested_dissection",
                           "nnz_A": A.matrix.nnz, "nnz_LU": fact.lu.nnz}
 
@@ -389,9 +425,9 @@ def test_pairing_is_each_sectors_axis_swap(L):
         cols = np.flatnonzero(sector == s)
         moved = orbits.Q[dof][:, cols] - orbits.Q[:, pair[cols]]
         assert moved.count_nonzero() == 0
-    # U is orthogonal, and its 16 halves hold every column once, each half
-    # in the order of its lead columns
-    B, U = linalg.half_blocks(
+    # U is orthogonal, and its 16 halves hold every column once, by sector
+    # in chunk order, each half in the order of its lead columns
+    blocks, U = linalg.half_blocks(
         assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix, orbits)
     assert abs(U.T @ U - sp.identity(n)).max() <= 1e-15
     half = _halves_of(orbits, U)
@@ -399,22 +435,108 @@ def test_pairing_is_each_sectors_axis_swap(L):
     Uc = U.tocsc()
     lead = Uc.indices[Uc.indptr[:-1]]
     assert np.array_equal(lead, np.minimum(lead, pair[lead]))
-    assert np.all(np.diff(half) >= 0)
-    assert np.all(np.diff(lead)[np.diff(half) == 0] > 0)
-    B = B.tocoo()
-    assert np.array_equal(half[B.row], half[B.col])
+    rank = 2 * np.argsort(CHUNK_ORDER)[half // 2] + half % 2
+    assert np.all(np.diff(rank) >= 0)
+    assert np.all(np.diff(lead)[np.diff(rank) == 0] > 0)
+    D = sp.block_diag(blocks).tocoo()
+    assert np.array_equal(half[D.row], half[D.col])
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_cycled_sectors_are_numbered_as_images(L):
+    # sector 1 -> 2 -> 4 and 3 -> 6 -> 5 under the axis cycle: the column
+    # at the images of (cell, loc) has the in-sector index of (cell, loc)
+    mesh = build_uniform_mesh(L)
+    orbits = mirror_orbits(mesh)
+    base = np.searchsorted(orbits.sector, np.arange(8))
+    cells, locs = np.meshgrid(np.arange(mesh.n_cells), np.arange(12),
+                              indexing="ij")
+    for s, images in ((1, (2, 4)), (3, (6, 5))):
+        has = orbits.sign[:, s] != 0
+        for k, image in enumerate(images, start=1):
+            cell, loc = _cycle(L, cells, locs, k)
+            assert np.array_equal(orbits.sign[cell, image, loc],
+                                  orbits.sign[:, s])
+            assert np.array_equal(
+                orbits.column[cell, image, loc][has] - base[image],
+                orbits.column[:, s][has] - base[s])
+    # the cycle permutes the columns (the column at (cell, sector, loc)
+    # goes to the one at their images), and carries each cycled sector's
+    # swap to its image's: pair commutes with it off sectors 0 and 7
+    cell, sector, loc = np.nonzero(orbits.sign != 0)
+    image_cell, image_loc = _cycle(L, cell, loc, 1)
+    image = np.empty(12 * L**3, dtype=np.intp)
+    image[orbits.column[cell, sector, loc]] = orbits.column[
+        image_cell, (sector << 1 | sector >> 2) & 7, image_loc]
+    assert np.array_equal(np.sort(image), np.arange(12 * L**3))
+    cycled = ~np.isin(orbits.sector, [0, 7])
+    assert np.array_equal(orbits.pair[image][cycled],
+                          image[orbits.pair][cycled])
+    # so U's chunks 2 and 3 are chunk 1's images, row for row
+    blocks, U = linalg.half_blocks(
+        assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix, orbits)
+    n = 12 * L**3
+    P = sp.csr_matrix((np.ones(n), (image, np.arange(n))), shape=(n, n))
+    one, two, three = (start for start, _ in _by_chunk(blocks)[1:])
+    assert abs(P @ U[:, one:two] - U[:, two:three]).max() == 0
+    assert abs(P @ P @ U[:, one:two] - U[:, three:]).max() == 0
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_factorize_refuses_a_matrix_that_breaks_the_cycle(L):
+    # 1e-9 max|A| times the identity on sector 2's columns of Q, mapped
+    # back to A: it commutes with the mirrors and with sector 2's swap,
+    # within each sector, but the cycle carries it to sector 4, where A
+    # has none of it
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    orbits = mirror_orbits(mesh)
+    Q_inv = np.linalg.inv(orbits.Q.toarray())
+    E = Q_inv.T @ np.diag((orbits.sector == 2).astype(float)) @ Q_inv
+    E[abs(E) <= 1e-14 * abs(E).max()] = 0
+    bad = sp.csc_matrix(A.matrix + 1e-9 * abs(A.matrix.data).max()
+                        / abs(E).max() * E)
+    with pytest.raises(ValueError, match="not cycle-invariant"):
+        linalg.factorize(dataclasses.replace(A, matrix=bad))
+
+
+@pytest.mark.parametrize("L", [2, 4])
+def test_half_blocks_refuse_a_table_rotated_the_wrong_way(L):
+    # sectors 2, 6 and 4, 5 numbered as the images of 1 and 3 under the
+    # inverse cycle: every sector's table is still a valid mirror basis
+    # with its swap pairing (at even L every representative has every
+    # column), but D_13 is no longer the block of chunks 2 and 3
+    mesh = build_uniform_mesh(L)
+    A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
+    orbits = mirror_orbits(mesh)
+    n = 12 * L**3
+    renumber = np.arange(n)
+    reps = np.flatnonzero(orbits.rep == np.arange(mesh.n_cells))
+    cells, locs = np.meshgrid(reps, np.arange(12), indexing="ij")
+    for s, k in ((2, 1), (6, 1), (4, 2), (5, 2)):
+        cell, loc = _cycle(L, cells, locs, 2 * k)
+        renumber[orbits.column[cells, s, locs]] = orbits.column[cell, s, loc]
+    assert np.array_equal(np.sort(renumber), np.arange(n))
+    pair = np.empty(n, dtype=np.intp)
+    pair[renumber] = renumber[orbits.pair]
+    wrong = orbits._replace(Q=orbits.Q[:, np.argsort(renumber)].tocsr(),
+                            column=renumber[orbits.column], pair=pair)
+    linalg.half_blocks(A.matrix, orbits)
+    with pytest.raises(ValueError, match="not cycle-invariant"):
+        linalg.half_blocks(A.matrix, wrong)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k, lam, gamma0, gamma1",
                          [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
 def test_a_h_does_not_couple_swap_halves(L, k, lam, gamma0, gamma1):
-    # B_h, folded from A's cell blocks with no n-by-n product, is the
-    # half-diagonal of the product (QU)^T A QU
+    # D_07 and D_13, folded from A's cell blocks with no n-by-n product,
+    # are the half-diagonal of the product (QU)^T A QU: D_07 on chunk 0,
+    # and D_13 on each of chunks 1, 2 and 3
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     orbits = mirror_orbits(mesh)
-    B_h, U = linalg.half_blocks(A.matrix, orbits)
+    blocks, U = linalg.half_blocks(A.matrix, orbits)
     QU = orbits.Q @ U
     half = _halves_of(orbits, U)
     B = (QU.T @ A.matrix @ QU).tocoo()
@@ -422,25 +544,30 @@ def test_a_h_does_not_couple_swap_halves(L, k, lam, gamma0, gamma1):
     assert np.abs(B.data[cross]).max() <= 1e-14 * np.abs(B.data).max()
     kept = sp.csc_matrix((B.data[~cross], (B.row[~cross], B.col[~cross])),
                          shape=B.shape)
-    assert abs(B_h - kept).max() <= 1e-14 * abs(kept).max()
+    assert sum(D.shape[0] for _, D in _by_chunk(blocks)) == B.shape[0]
+    for start, D in _by_chunk(blocks):
+        stop = start + D.shape[0]
+        assert (abs(D - kept[start:stop, start:stop]).max()
+                <= 1e-14 * abs(kept).max())
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_half_blocks_refuse_a_matrix_that_breaks_a_swap(L):
-    # 1e-9 max|A| on every cell's x-component mass block commutes with the
-    # mirrors and with y<->z, not with x<->y or x<->z: sectors 2 and 5
-    # (x<->z) and 3 and 4 (x<->y) must refuse it
+    # 1e-9 max|A| on every cell's centred coupling of (component c,
+    # monomial t_(c+1)) to (component c+1, monomial t_c), c = x, y, z,
+    # commutes with the mirrors and with the axis cycle, not with any swap,
+    # which maps each coupling onto its transpose: sectors 3, 6 and 5 must
+    # refuse it
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix
-    block = np.zeros((12, 12))
-    block[:4, :4] = ref_mass_12()[:4, :4]
-    bad = sp.csc_matrix(A + 1e-9 * abs(A.data).max()
-                        * sp.kron(sp.identity(mesh.n_cells), block))
+    chiral = np.zeros((12, 12))
+    for c in range(3):
+        chiral[4 * c + (c + 1) % 3 + 1, 4 * ((c + 1) % 3) + c + 1] = 1.0
+    uncentre = np.linalg.inv(linalg._CENTRE)
+    bad = sp.csc_matrix(A + 1e-9 * abs(A.data).max() * sp.kron(
+        sp.identity(mesh.n_cells), uncentre.T @ chiral @ uncentre))
     orbits = mirror_orbits(mesh)
-    linalg.half_blocks(bad, _unsplit(orbits))        # the mirrors accept it
-    y_z = np.isin(orbits.sector, [0, 1, 6, 7])       # and so does y<->z
-    linalg.half_blocks(bad, orbits._replace(
-        pair=np.where(y_z, orbits.pair, np.arange(A.shape[0]))))
+    linalg.half_blocks(bad, _unsplit(orbits))   # the mirrors and the cycle
     with pytest.raises(ValueError, match="not swap-invariant"):
         linalg.half_blocks(bad, orbits)
     with pytest.raises(ValueError, match="not swap-invariant"):
@@ -463,15 +590,25 @@ def test_half_blocks_refuse_a_wrong_pairing_table(L):
         linalg.half_blocks(A.matrix, orbits._replace(pair=pair))
 
 
-def test_one_superlu_holds_the_sixteen_halves(monkeypatch):
+def test_two_superlus_hold_the_eight_distinct_halves(monkeypatch):
+    # at L=5 the 0/7 and 1/3 parts keep their nested-dissection order;
+    # each holds n/4 columns, from sectors of different sizes
     calls = []
     splu = spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda *args, **kw:
-                        calls.append(1) or splu(*args, **kw))
-    fact = linalg.factorize(assemble_a_h(build_uniform_mesh(5), 2.0, 1.0,
-                                         10.0, 0.1))
-    assert len(calls) == 1
-    assert isinstance(fact.lu, spla.SuperLU)
+                        calls.append(kw["permc_spec"]) or splu(*args, **kw))
+    mesh = build_uniform_mesh(5)
+    fact = linalg.factorize(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1))
+    assert calls == ["NATURAL", "NATURAL"]
+    fixed, cycled = fact.lu.parts
+    assert isinstance(fixed, spla.SuperLU) and isinstance(cycled, spla.SuperLU)
+    sizes = np.bincount(mirror_orbits(mesh).sector, minlength=8)
+    assert fixed.shape[0] == sizes[0] + sizes[7] == fact.n // 4
+    assert cycled.shape[0] == sizes[1] + sizes[3] == fact.n // 4
+    assert sizes[[0, 7, 1, 3]].tolist() == [207, 168, 193, 182]
+    assert fact.lu.nnz == fixed.nnz + cycled.nnz
+    assert fact.lu.L.nnz + fact.lu.U.nnz == sum(
+        lu.L.nnz + lu.U.nnz for lu in fact.lu.parts)
     assert fact.stats["ordering"] == "nested_dissection"
 
 
@@ -491,21 +628,29 @@ def _sector_diagonal_of_product(mesh, A):
                          [(2.0, 1.0, 10.0, 0.1), (5.0, 0.3, 1.0, 2.0)])
 def test_sector_blocks_are_the_diagonal_blocks_of_the_product(
         L, k, lam, gamma0, gamma1):
-    # the 8 unsplit sector blocks, which the tests take as a reference
+    # the unsplit sector blocks, which the tests take as a reference: in
+    # chunk order, the product's sector blocks are D_07's and D_13's, and
+    # those of 2, 6 and 4, 5 are D_13's too
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     oracle = _sector_diagonal_of_product(mesh, A)
-    B, _ = linalg.half_blocks(A.matrix, _unsplit(mirror_orbits(mesh)))
-    assert abs(B - oracle).max() <= 1e-14 * abs(oracle).max()
+    blocks, U = linalg.half_blocks(A.matrix, _unsplit(mirror_orbits(mesh)))
+    ordered = (U.T @ oracle @ U).tocsc()
+    for start, D in _by_chunk(blocks):
+        stop = start + D.shape[0]
+        assert (abs(D - ordered[start:stop, start:stop]).max()
+                <= 1e-14 * abs(oracle).max())
 
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_sector_blocks_fill_no_more_than_the_product(L):
+    # against the product's blocks of the distinct sectors 0, 7, 1 and 3
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
-    ref = spla.splu(_sector_diagonal_of_product(mesh, A),
-                    permc_spec="MMD_AT_PLUS_A")
+    distinct = np.isin(mirror_orbits(mesh).sector, [0, 7, 1, 3])
+    oracle = _sector_diagonal_of_product(mesh, A)
+    ref = spla.splu(oracle[distinct][:, distinct], permc_spec="MMD_AT_PLUS_A")
     assert (fact.lu.L.nnz + fact.lu.U.nnz
             <= 1.02 * (ref.L.nnz + ref.U.nnz))
 
@@ -532,9 +677,9 @@ PARAMETER_SETS = [(2.0, 1.0, 10.0, 0.1), (7.5, 0.3, 100.0, 3.0),
 @pytest.mark.parametrize("k, lam, gamma0, gamma1", PARAMETER_SETS)
 def test_sector_blocks_accept_round_off(L, k, lam, gamma0, gamma1,
                                         monkeypatch):
-    # with U = I, the probe of Q^T A Q V = B V reads at most 4.0e-15 of
-    # max|A| max|V| on A_h up to L=8 (7.0e-15 up to L=20): accepted with
-    # 20x to spare
+    # with every column its own image, the probe of (QU)^T A QU V = D V
+    # reads at most 4.5e-15 of max|A| max|V| on A_h up to L=12: accepted
+    # with 20x to spare
     monkeypatch.setattr(linalg, "MIRROR_TOL", linalg.MIRROR_TOL / 20)
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
@@ -543,8 +688,9 @@ def test_sector_blocks_accept_round_off(L, k, lam, gamma0, gamma1,
 
 @pytest.mark.parametrize("L", range(1, 9))
 def test_half_blocks_accept_round_off(L, monkeypatch):
-    # the probe of (QU)^T A QU V = B_h V reads at most 6.0e-15 of max|A|
-    # max|V| on A_h up to L=8 (3.8e-15 at L = 10, 12, 16, first set)
+    # the probe of (QU)^T A QU V = D V reads at most 5.6e-15 of max|A|
+    # max|V| on A_h up to L=8 (3.8e-15, 5.4e-15 and 4.2e-15 at L = 10, 12
+    # and 16, first set)
     monkeypatch.setattr(linalg, "MIRROR_TOL", linalg.MIRROR_TOL / 20)
     mesh = build_uniform_mesh(L)
     for params in PARAMETER_SETS:
@@ -555,10 +701,10 @@ def test_half_blocks_accept_round_off(L, monkeypatch):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_sector_blocks_refuse_one_moved_entry(L):
     # Moving one entry of A by 1e-11 of the largest breaks the symmetry
-    # unless the mirrors and the swaps fix it, that is unless
-    # (QU)^T E QU keeps the single-entry E within one half; at L=1 that
-    # holds for 1 of the 54 entries.  The probe reads at least 1.4e-12 on
-    # the others (these 60 per L, L <= 4).
+    # unless the mirrors, the swaps and the axis cycle fix it, that is
+    # unless (QU)^T E QU keeps the single-entry E within one half of
+    # sector 0 or 7; at L=1 that holds for 1 of the 54 entries.  The probe
+    # reads at least 1.4e-12 on the others (these 60 per L, L <= 4).
     mesh = build_uniform_mesh(L)
     A = sp.csc_matrix(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix)
     orbits = mirror_orbits(mesh)
@@ -573,7 +719,7 @@ def test_sector_blocks_refuse_one_moved_entry(L):
                             half[QU[cols[at]].indices])
         bad = A.copy()
         bad.data[at] += 1e-11 * abs(A.data).max()
-        if len(halves) == 1:
+        if len(halves) == 1 and halves[0] // 2 in (0, 7):
             linalg.half_blocks(bad, orbits)
             continue
         moved += 1
@@ -604,9 +750,10 @@ def test_sector_blocks_refuse_a_wrong_orbit_table(field):
 
 
 def test_sector_blocks_peak_memory():
-    # folding the half-blocks from the representative rows alone peaks at
-    # 3.3x A's entries at L=6 (4.3x with U = I); centring every cell block
-    # and comparing it with its mirror images took 8.6x
+    # folding the distinct half-blocks from the representative rows alone
+    # peaks at 2.7x A's entries at L=6 (3.1x with every column its own
+    # image; 3.3x for all 16 halves); centring every cell block and
+    # comparing it with its mirror images took 8.6x
     import tracemalloc
 
     mesh = build_uniform_mesh(6)
@@ -624,9 +771,11 @@ def test_sector_blocks_peak_memory():
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
                                     "real"])
 def test_mirror_solve_is_q_lu_qt_bitwise(layout):
-    # the solve is Q U LU^-1 U^T Q^T b, Q and U each applied as a real
-    # matrix to the float64 view of its operand; that must give the same
-    # bits as the complex products, whatever b's layout
+    # the solve is Q U D^-1 U^T Q^T b, Q and U each applied as a real
+    # matrix to the float64 view of its operand, and D^-1 as D_07's factor
+    # on chunk 0 and D_13's on chunks 1, 2, 3 in one stacked call; that
+    # must give the same bits as the complex products and a call per
+    # chunk, whatever b's layout
     fact = linalg.factorize(assemble_a_h(build_uniform_mesh(4), 2.0, 1.0,
                                          10.0, 0.1))
     (Q, Qt), (U, Ut) = fact.basis, fact.halves
@@ -638,8 +787,12 @@ def test_mirror_solve_is_q_lu_qt_bitwise(layout):
          "Fortran": np.asfortranarray(full), "strided": full[:, ::2],
          "real": full.real.copy()}[layout]
     x = linalg.solve(fact, b)
-    ref = Q.astype(complex) @ (U.astype(complex) @ fact.lu.solve(
-        U.T.astype(complex) @ (Q.T.astype(complex) @ b)))
+    y = U.T.astype(complex) @ (Q.T.astype(complex) @ b)
+    fixed, cycled = fact.lu.parts
+    y = np.concatenate([(fixed if start == 0 else cycled).solve(
+        y[start:start + D.shape[0]]) for start, D in _by_chunk(
+        (fixed, cycled))])
+    ref = Q.astype(complex) @ (U.astype(complex) @ y)
     assert x.shape == b.shape
     assert np.array_equal(x, ref)
 
