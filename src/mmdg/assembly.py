@@ -21,17 +21,23 @@ its imaginary part.
 The oscillatory load is sum-factorized.  The source component
 f_c(x) = exp(i k (1+xi) x_c) depends on x_c alone, and the cell rule is a
 q-point tensor Gauss rule in local coordinates t with weights w_t summing
-to 1.  With e_c(t) = exp(i k (1+xi) (lower_c + h t)),
-S0_c = sum_t w_t e_c(t) and S1_c = sum_t w_t t e_c(t), the tensor rule
-gives for the monomials (1, t_0, t_1, t_2) of component c
+to 1.  With kk = k (1+xi), e_c(t) = exp(i kk (lower_c + h t)) =
+exp(i kk lower_c) p(t), p(t) = exp(i kk h t) the same on every axis,
+S0 = sum_t w_t p(t) and S1 = sum_t w_t t p(t), the tensor rule gives for
+the monomials (1, t_0, t_1, t_2) of component c
 
-    b[4c+0]   = h^3 S0_c
-    b[4c+1+c] = h^3 S1_c
-    b[4c+1+d] = h^3 S0_c sum_t w_t t      (d != c),
+    b[4c+0]   = h^3 exp(i kk lower_c) S0
+    b[4c+1+c] = h^3 exp(i kk lower_c) S1
+    b[4c+1+d] = h^3 exp(i kk lower_c) S0 sum_t w_t t      (d != c),
 
-so a cell costs q exponentials per axis instead of q^3 per component.
-The mode source's reference monomial mass matrix is real, so the source
-is one broadcast matmul on the float64 view of the complex coefficients.
+so a cell and sample cost 3 + q complex exponentials, against q^3 per
+component for the tensor rule and 3q for the axes apart.  The sums over t
+run in a fixed order on elementwise products, so a block's columns are
+bitwise its samples' loads.
+The mode source's reference mass matrix is real, so the source is one
+broadcast matmul on the float64 view of the complex coefficients; in the
+centred monomials (dg_core.CENTRE) the mass is the diagonal
+REF_CENTRED_MASS.
 """
 
 from __future__ import annotations
@@ -196,22 +202,24 @@ def assemble_oscillatory_load(mesh: HexMesh, xi_values: np.ndarray, k: float,
         raise ValueError("xi sample must have one value per cell")
     nc, block, h = mesh.n_cells, xi.shape[1:], mesh.h
     t, w = gauss01(q_f)
-    lowers = mesh.cell_lower(np.arange(nc))
-    x = (lowers[:, :, None] + h * t).reshape(nc, 3, q_f, *(1,) * len(block))
-    kk = (k * (1.0 + xi)).reshape(nc, 1, 1, *block)
-    e = np.exp(1j * kk * x)                                  # (nc, 3, q, *B)
-    s0 = np.einsum("q,ncq...->nc...", w, e)                  # (nc, 3, *B)
-    s1 = np.einsum("q,ncq...->nc...", w * t, e)
+    ikk = 1j * k * (1.0 + xi)                                # (nc, *B)
+    lowers = mesh.cell_lower(np.arange(nc)).reshape(nc, 3, *(1,) * len(block))
+    corner = np.exp(ikk[:, None] * lowers)                   # (nc, 3, *B)
+    s0 = s1 = 0.0                                 # S0 and S1, times h^3
+    for tq, wq in zip(t, (h ** 3) * w):
+        p = np.exp(ikk * (h * tq))                           # (nc, *B)
+        s0, s1 = s0 + wq * p, s1 + (wq * tq) * p
     b = np.empty((nc, 3, 4, *block), dtype=np.complex128)
-    b[:, :, 0] = s0
-    b[:, :, 1:] = (s0 * np.dot(w, t))[:, :, None]
-    axes = np.arange(3)
-    b[:, axes, 1 + axes] = s1
-    return (h ** 3) * b.reshape(12 * nc, *block)
+    b[:, :, 0] = corner * s0[:, None]
+    b[:, :, 1:] = (b[:, :, 0] * np.dot(w, t))[:, :, None]
+    for a in range(3):
+        b[:, a, 1 + a] = corner[:, a] * s1
+    return b.reshape(12 * nc, *block)
 
 
 def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
-                         e_prev, e_prev2) -> np.ndarray:
+                         e_prev, e_prev2,
+                         mass: np.ndarray = REF_MONOMIAL_MASS) -> np.ndarray:
     """Load vector of the recursive mode source
     (2 k^2 eta E_prev + k^2 eta^2 E_prev2, basis)_D, exact for the
     piecewise-polynomial integrand.
@@ -220,6 +228,10 @@ def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
     DGFields; the result has shape (n_dof,).  For a block of B samples,
     eta has shape (n_cells, B) and the previous modes are coefficient
     arrays of shape (n_dof, B), one column per sample; so is the result.
+    mass is the reference cell mass of the local basis the coefficients
+    and the result are in: REF_MONOMIAL_MASS for the monomials, and
+    REF_CENTRED_MASS for the centred monomials of the centred recursion
+    (coefficient arrays only; a DGField is in monomials).
     """
     eta = np.asarray(eta_values, dtype=float)
     if eta.shape[:1] != (mesh.n_cells,) or eta.ndim > 2:
@@ -230,7 +242,7 @@ def assemble_mode_source(mesh: HexMesh, k: float, eta_values: np.ndarray,
     w = (2.0 * k2 * eta) * prev + (k2 * eta * eta) * prev2
     # (nc, 3, 4, 2B) float64 view; one sample is a block of width 1
     w = np.ascontiguousarray(w.reshape(mesh.n_cells, 3, 4, -1)).view(np.float64)
-    b = (mesh.h ** 3) * np.matmul(REF_MONOMIAL_MASS, w)
+    b = (mesh.h ** 3) * np.matmul(mass, w)
     return b.view(np.complex128).reshape(12 * mesh.n_cells, *block)
 
 

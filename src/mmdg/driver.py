@@ -14,7 +14,12 @@ modes.  The mean psi is sum_n eps^n phi_n over the per-mode means phi_n,
 by the one combination rule that truncations and error rows use too.  In
 the multi-modes recursion each mode of a block is one B-column triangular
 solve, except mode N: it feeds no later mode, so its block sum is one
-solve of the summed sources.
+solve of the summed sources.  The recursion runs in the centred
+monomials (dg_core.CENTRE = C): the load is centred once per block, b~ =
+C^T b; every solve is one of the factor's centred view, which on the
+mirror factor applies no C; the mode sources take the diagonal centred
+mass REF_CENTRED_MASS; and the reduced mode sums go back through C once
+per run.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .assembly import (
     assemble_oscillatory_load,
     assemble_standard,
 )
-from .dg_core import REF_MONOMIAL_MASS, DGField, dg_norm, l2_norm
+from .dg_core import (CENTRE, REF_CENTRED_MASS, REF_MONOMIAL_MASS, DGField,
+                      dg_norm, l2_norm)
 from .mesh import HexMesh, build_uniform_mesh
 from .random_field import (CovarianceSpec, FieldSample, GaussianSampler,
                            sample_uniform)
@@ -171,7 +177,8 @@ def _health(mode_means: list[DGField], eps: float) -> dict:
 
 
 def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
-                 block_size: int, n_modes: int, solve_block) -> MCResult:
+                 block_size: int, n_modes: int, solve_block,
+                 cell_basis: np.ndarray | None = None) -> MCResult:
     """The sampling loop both estimators share, and the only code that
     times modes.
 
@@ -181,8 +188,10 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
     n_modes per-mode sums (n_dof,) in mode order; block is the range of
     the block's sample indices.  Each mode is charged the time since the
     previous yield; mode 0's time starts at the block's first draw.  The
-    sums are reduced in block order; psi is the eps^n-weighted sum of
-    their means, and the diagnostics are _health of the means.  The result
+    sums are reduced in block order, then taken to monomial coefficients
+    by linalg.per_cell(cell_basis, .) unless cell_basis is None; psi is
+    the eps^n-weighted sum of their means, and the diagnostics are _health
+    of the means.  The result
     counts no factorization and records no factor; each driver returns a
     copy with its own count and its factor's stats."""
     t_samples = time.perf_counter()
@@ -226,6 +235,8 @@ def _monte_carlo(config: RunConfig, draws: _FieldDraws, t_start: float,
         mode_acc += mode_sums
         per_mode_s += mode_times
         sup_norm_max = max(sup_norm_max, sup)
+    if cell_basis is not None:
+        mode_acc = linalg.per_cell(cell_basis, mode_acc.T).T
     t_end = time.perf_counter()
 
     mode_means = [DGField(mesh, mode_acc[n] / config.M)
@@ -278,9 +289,10 @@ def run_multimodes(config: RunConfig) -> MCResult:
     """Accelerated algorithm: one deterministic matrix, one LU
     factorization, then per block of SAMPLE_BLOCK samples one load call,
     N block triangular solves with recursive sources for modes 0..N-1 and
-    one single-column solve of the summed mode-N sources.  The diagnostics
-    record the factor and the backward error of sample 0's mode 0 (with
-    N = 0, of the first block's summed load)."""
+    one single-column solve of the summed mode-N sources, all in centred
+    coefficients.  The diagnostics record the factor and the backward
+    error, in monomial coefficients, of sample 0's mode 0 (with N = 0, of
+    the first block's summed load)."""
     with linalg.one_blas_thread() as blas_threads:
         t_start = time.perf_counter()
         mesh = build_uniform_mesh(config.L)
@@ -293,27 +305,32 @@ def run_multimodes(config: RunConfig) -> MCResult:
         t0 = time.perf_counter()
         fact = linalg.factorize(A)
         t_factor = time.perf_counter() - t0
+        centred = linalg.centred(fact)
         first = {}
 
         def solve_block(block, etas, xis):
             b = assemble_oscillatory_load(mesh, xis, config.k, config.q_f)
+            if block.start == 0:   # in monomials, for the backward error
+                b_first = b[:, 0].copy() if config.N else b.sum(axis=1)
+            b = linalg.per_cell(CENTRE.T, b)
             e_prev = e_prev2 = np.zeros_like(b)
             for n in range(config.N):
-                x = linalg.solve(fact, b)
+                x = linalg.solve(centred, b)
                 if block.start == n == 0:
                     first["backward_error"] = linalg.backward_error(
-                        A, x[:, 0], b[:, 0])
+                        A, linalg.per_cell(CENTRE, x[:, 0]), b_first)
                 yield x.sum(axis=1)
                 e_prev2, e_prev = e_prev, x
-                b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2)
-            b = b.sum(axis=1)
-            x = linalg.solve(fact, b)
+                b = assemble_mode_source(mesh, config.k, etas, e_prev, e_prev2,
+                                         REF_CENTRED_MASS)
+            x = linalg.solve(centred, b.sum(axis=1))
             if block.start == config.N == 0:   # mode 0 is this summed solve
-                first["backward_error"] = linalg.backward_error(A, x, b)
+                first["backward_error"] = linalg.backward_error(
+                    A, linalg.per_cell(CENTRE, x), b_first)
             yield x
 
         res = _monte_carlo(config, draws, t_start, SAMPLE_BLOCK,
-                           config.N + 1, solve_block)
+                           config.N + 1, solve_block, CENTRE)
         return replace(res, timings={**res.timings, "assembly_s": t_assembly,
                                      "factorization_s": t_factor},
                        diagnostics={**res.diagnostics, "factor": fact.stats,

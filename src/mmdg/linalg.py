@@ -8,28 +8,36 @@ The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
 commutes with the cube's three mirrors x_a -> 1 - x_a, with its axis
 swaps and with its axis cycle x -> y -> z -> x.  Its SystemMatrix names
-that mesh, and such a matrix is factored in the mesh's mirror basis Q,
-which mirror_orbits tabulates: B = Q^T A Q is 8 independent sector
-blocks, one per parity under the mirrors.  Two of a sector's three
-parities agree, so the swap of those two axes permutes the sector's
-columns (pair), and U, whose columns are the pairs' sums and differences
-over sqrt 2, splits each sector into its swap-even and swap-odd halves.
-The cycle fixes sectors 0 and 7 and carries 1 to 2 to 4 and 3 to 6 to 5;
-mirror_orbits numbers 2, 6 and 4, 5 as the images of 1 and 3, and U
-orders its halves in four chunks of sectors, [0, 7 | 1, 3 | 2, 6 | 4, 5],
-so that (QU)^T A QU = diag(D_07, D_13, D_13, D_13).  half_blocks, the one
-fold, builds U and the 8 distinct half-blocks, D_07 and D_13, each of
-n/4 columns, from the 12x12 cell blocks of A at the representative cells;
-one SuperLU holds each, and MirrorLU the pair.  A solve is x = Q U D^{-1}
-U^T Q^T b, one call of D_07's factor on chunk 0 and one of D_13's on
-chunks 1, 2, 3 side by side; it is right only if (QU)^T A QU is that
-block diagonal, which half_blocks checks on 4 fixed random columns, so
-an A that does not commute with the mirrors, the swaps and the cycle,
-and a wrong orbit, pairing or cycle numbering, are refused with
-ValueError.  Q's entries are real (+-1, +-1/2), and U's (+-1, +-1/sqrt
-2), so Q, U and their transposes are float64 and each acts on the (n, 2B)
-float64 view of a C-contiguous complex block: half the flops of a
-complex product, with bitwise the same result.
+that mesh, and such a matrix is factored in the mesh's mirror basis Q =
+C S: C centres each cell's monomials (dg_core.CENTRE, one 4x4 per
+component), and in the centred monomials each mirror is a signed
+permutation of the dofs, whose orbit sums S, which mirror_orbits
+tabulates, make B = Q^T A Q 8 independent sector blocks, one per parity
+under the mirrors.  Two of a sector's three parities agree, so the swap
+of those two axes permutes the sector's columns (pair), and U, whose
+columns are the pairs' sums and differences over sqrt 2, splits each
+sector into its swap-even and swap-odd halves.  The cycle fixes sectors
+0 and 7 and carries 1 to 2 to 4 and 3 to 6 to 5; mirror_orbits numbers
+2, 6 and 4, 5 as the images of 1 and 3, and U orders its halves in four
+chunks of sectors, [0, 7 | 1, 3 | 2, 6 | 4, 5], so that (QU)^T A QU =
+diag(D_07, D_13, D_13, D_13).  half_blocks, the one fold, builds U and
+the 8 distinct half-blocks, D_07 and D_13, each of n/4 columns, from the
+12x12 cell blocks of A at the representative cells; one SuperLU holds
+each, and MirrorLU the pair.  A solve is x = C S U D^{-1} U^T S^T C^T b,
+one call of D_07's factor on chunk 0 and one of D_13's on chunks 1, 2, 3
+side by side; it is right only if (QU)^T A QU is that block diagonal,
+which half_blocks checks on 4 fixed random columns, so an A that does
+not commute with the mirrors, the swaps and the cycle, and a wrong orbit,
+pairing or cycle numbering, are refused with ValueError.  S's entries are
++-1, 8 a row at most, and U's +-1 or +-1/sqrt 2, so S, U and their
+transposes are float64 and each acts on the (n, 2B) float64 view of a
+C-contiguous complex block: half the flops of a complex product, with
+bitwise the same result.  C is applied cell by cell (per_cell).
+
+A Factorization carries the per-cell change of basis of its solve
+(cell_basis, see Factorization), and centred(fact), with the same
+factors, solves in centred coefficients x~ = C^-1 x, b~ = C^T b: on the
+mirror factor that is S U D^{-1} U^T S^T b~, with no C at all.
 
 mirror_orbits numbers the columns of sectors 0, 7, 1 and 3 by nested
 dissection of their cell grid at every L, and U's columns go by half,
@@ -54,14 +62,14 @@ import functools
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dg_core import N_LOCAL
+from .dg_core import CENTRE, N_LOCAL
 
 # Largest gap (QU)^T A QU V - D V half_blocks accepts, relative to
 # max|A| max|V|: round-off on A_h reads <= 5.6e-15 (L <= 8, three
@@ -132,19 +140,24 @@ class MirrorLU:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Stored sparse LU factors.  For a mirror-invariant A, lu is the
-    MirrorLU of its distinct half_blocks, basis holds its mirror basis
-    (Q, Q^T) and halves the orthogonal (U, U^T) that splits each mirror
-    sector by an axis swap, all float64, so that A^-1 = Q U D^-1 U^T Q^T
-    with D = diag(D_07, D_13, D_13, D_13); otherwise lu is A's SuperLU and
-    basis and halves are None."""
+    """Stored sparse LU factors, and the per-cell change of basis T of
+    their solve, x = T K T^T b (T applied per_cell; None is the identity).
+    For a mirror-invariant A, lu is the MirrorLU of its distinct
+    half_blocks, basis holds the signed orbit sums (S, S^T) and halves the
+    orthogonal (U, U^T) that splits each mirror sector by an axis swap,
+    all float64, and K = S U D^-1 U^T S^T with D = diag(D_07, D_13, D_13,
+    D_13): factorize sets T = CENTRE, which solves A, and its centred view
+    T = None, which solves the centred system.  Otherwise lu is A's
+    SuperLU, K = A^-1, basis and halves are None, and T = None solves A,
+    T = CENTRE^-1 the centred system."""
 
     lu: "spla.SuperLU | MirrorLU"
     n: int
     nnz: int                                  # of A
-    basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None   # (Q, Q^T)
+    basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None   # (S, S^T)
     halves: tuple[sp.csr_matrix, sp.csr_matrix] | None = None  # (U, U^T)
     ordering: str = "mmd"                     # or "nested_dissection"
+    cell_basis: np.ndarray | None = None      # T, 4x4 per component
 
     @property
     def stats(self) -> dict:
@@ -165,13 +178,14 @@ def factorize(A) -> Factorization:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
-    basis = halves = None
+    basis = halves = cell_basis = None
     blocks, ordering = (mat,), "mmd"
     if getattr(A, "mirror_mesh", None) is not None:
         orbits = mirror_orbits(A.mirror_mesh)
         blocks, U = half_blocks(mat, orbits)
-        basis = (orbits.Q, orbits.Q.T.tocsr())
+        basis = (orbits.S, orbits.S.T.tocsr())
         halves = (U, U.T.tocsr())
+        cell_basis = CENTRE
         if A.mirror_mesh.L >= NESTED_MIN_L:
             ordering = "nested_dissection"
     permc = {"mmd": "MMD_AT_PLUS_A", "nested_dissection": "NATURAL"}[ordering]
@@ -183,12 +197,30 @@ def factorize(A) -> Factorization:
         ) from exc
     return Factorization(lu=parts[0] if basis is None else MirrorLU(parts),
                          n=n, nnz=nnz, basis=basis, halves=halves,
-                         ordering=ordering)
+                         ordering=ordering, cell_basis=cell_basis)
 
 
-# the per-cell centring C: centred local dof (c, m>0) is e_c (x_m - 1/2)
-_CENTRE = np.eye(N_LOCAL) - np.kron(np.eye(3), np.outer([0.5, 0, 0, 0],
-                                                        [0, 1, 1, 1]))
+def centred(fact: Factorization) -> Factorization:
+    """The view of fact that solves in centred coefficients, x~ = C^-1
+    A^-1 C^-T b~ with C = CENTRE: the same factors, cell_basis C^-1 T."""
+    T = _UNCENTRE if fact.cell_basis is None else _UNCENTRE @ fact.cell_basis
+    return replace(fact, cell_basis=None if np.array_equal(T, np.eye(4))
+                   else T)
+
+
+def per_cell(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(I (x) T) x: the 4x4 T applied to the 4 coefficients of each cell
+    and component of x, of shape (n,) or (n, B), real or complex (on its
+    float64 view), by one stacked matmul; a block's columns come out
+    bitwise those of single columns."""
+    c = np.ascontiguousarray(x.reshape(len(x), -1))
+    v = c.view(np.float64) if np.iscomplexobj(c) else c
+    out = np.matmul(T, v.reshape(len(x) // 4, 4, -1)).reshape(v.shape)
+    return out.view(c.dtype).reshape(x.shape)
+
+
+# CENTRE^-1, exactly: centred(fact) of factorize's mirror factor has T = I
+_UNCENTRE = np.eye(4) + np.outer([0.5, 0, 0, 0], [0, 1, 1, 1])
 # _MIRROR_ODD[a, loc]: mirror a flips centred dof loc = (c, m) if c = a xor m = a+1
 _MIRROR_ODD = np.array([[(loc // 4 == a) ^ (loc % 4 == a + 1)
                          for loc in range(N_LOCAL)] for a in range(3)])
@@ -207,19 +239,21 @@ _CHUNKS = np.array([[0, 7], [1, 3], [2, 6], [4, 5]])
 
 
 class MirrorOrbits(NamedTuple):
-    """The mirror basis Q = C S.  Column j of the signed orbit matrix S
-    sums a centred dof over its mirror images with signs +-1, so that it
-    is odd under mirror a exactly when bit a of its sector is set.  In one
-    sector S has at most one entry per row, and it is 1 at the orbit's
-    representative, its cell of least index along each axis.  The axis
-    swap _SWAP[s] permutes sector s's columns with sign +1: pair[j] is
-    column j's image, and pair[pair[j]] = j.  The axis cycle x -> y -> z
-    -> x maps the column of sector s at (cell, loc) to the one of its image
-    sector at their images, with sign +1 and, for s = 1, 3, 2, 6, the
-    same index within its sector.  half_blocks folds D_07 and D_13 from
-    column, sign, rep, size, sector and pair, and checks them against Q."""
+    """The signed orbit matrix S of the mirror basis Q = C S, in centred
+    coefficients (C = CENTRE per cell).  Column j of S sums a centred dof
+    over its mirror images with signs +-1, so that it is odd under mirror
+    a exactly when bit a of its sector is set.  In one sector S has at
+    most one entry per row, and it is 1 at the orbit's representative,
+    its cell of least index along each axis; a row has at most 8 entries,
+    one per sector, in increasing column order.  The axis swap _SWAP[s]
+    permutes sector s's columns with sign +1: pair[j] is column j's image,
+    and pair[pair[j]] = j.  The axis cycle x -> y -> z -> x maps the column
+    of sector s at (cell, loc) to the one of its image sector at their
+    images, with sign +1 and, for s = 1, 3, 2, 6, the same index within its
+    sector.  half_blocks folds D_07 and D_13 from column, sign, rep, size,
+    sector and pair, and checks them against C S."""
 
-    Q: sp.csr_matrix    # canonical CSR
+    S: sp.csr_matrix    # canonical CSR, written in row order
     column: np.ndarray  # (n_cells, 8, 12) column of S at (cell, sector, loc)
     sign: np.ndarray    # S's entry there: +-1, or 0 if none
     sector: np.ndarray  # (n,) sector of each column, columns grouped by it
@@ -232,14 +266,17 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     """Orbit table of the mesh's mirrors.  Along one axis, cells i and
     L-1-i make an even and an odd combination numbered min(i, L-1-i), the
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
-    Q stays square.  The representatives fill an R^3 box, R = (L+1)//2.
+    S stays square.  The representatives fill an R^3 box, R = (L+1)//2.
     The columns of sectors 0, 7, 1 and 3 go by representative in nested-
     dissection order of that box, then by local dof; sector s = 2, 6 or
     4, 5, the image of 1 or 3 under the axis cycle to the power
     _TURNS[s], gives the column at the images of (representative c, loc)
     the index within its sector of the one at (c, loc).  A sector's swap
     maps the column at (representative c, loc) to the one at (swapped c,
-    swapped loc), read off the same numbering."""
+    swapped loc), read off the same numbering.  Row (cell, loc) of S
+    holds sign[cell, s, loc] at column[cell, s, loc] for the sectors s
+    where the sign is not 0; the sectors' columns are grouped in sector
+    order, so S's CSR arrays are written row by row with no sort."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
     R = (L + 1) // 2
     i = np.arange(L)
@@ -278,13 +315,13 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     pair[num[has]] = num[np.arange(8)[:, None, None], image[:, :, None],
                          image_loc[:, None]][has]
     sign = np.prod(weight[parity, ijk.T[:, None, None, :]], axis=3)
-    dst, src = np.nonzero(_CENTRE)                 # Q = C S, cell by cell
-    v = sign[:, :, src] * _CENTRE[dst, src]
-    rows = N_LOCAL * np.arange(mesh.n_cells)[:, None, None] + dst
+    by_row = sign.transpose(0, 2, 1) != 0             # (cell, loc, sector)
+    S = sp.csr_matrix((sign.transpose(0, 2, 1)[by_row],
+                       column.transpose(0, 2, 1)[by_row],
+                       np.concatenate([[0], np.cumsum(by_row.sum(axis=2))])),
+                      shape=(n, n))
     return MirrorOrbits(
-        Q=sp.csr_matrix((v[v != 0], (np.broadcast_to(rows, v.shape)[v != 0],
-                                     column[:, :, src][v != 0])), shape=(n, n)),
-        column=column, sign=sign,
+        S=S, column=column, sign=sign,
         sector=np.repeat(np.arange(8), count),
         rep=np.ravel_multi_index(half, (L,) * 3),
         size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0), pair=pair)
@@ -326,9 +363,9 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[
     j's S_s is 1 at its representative cell.  Entries at most ROUNDOFF of
     the largest are dropped.  Last, (QU)^T A QU V is checked against D_07
     on chunk 0 of V and D_13 on each of chunks 1, 2, 3, for a fixed block
-    V of 4 normal columns (Freivalds' method): A, or a wrong orbit,
-    pairing or cycle numbering, is refused beyond MIRROR_TOL of max|A|
-    max|V|."""
+    V of 4 normal columns (Freivalds' method), with Q = C S applied as S,
+    then C per_cell: A, or a wrong orbit, pairing or cycle numbering, is
+    refused beyond MIRROR_TOL of max|A| max|V|."""
     n, nc = mat.shape[0], orbits.rep.size
     j = np.arange(n)
     lo, hi = np.minimum(j, orbits.pair), np.maximum(j, orbits.pair)
@@ -375,8 +412,9 @@ def half_blocks(mat, orbits: MirrorOrbits) -> tuple[
     D.eliminate_zeros()
     blocks = D[:chunk[0], :chunk[0]], D[chunk[0]:, chunk[0]:]
     V = np.random.default_rng(0).standard_normal((n, 4))
+    QU_V = per_cell(CENTRE, orbits.S @ (U @ V))
     QUt_A_QU_V = _real_times(U.T, _real_times(
-        orbits.Q.T, mat @ (orbits.Q @ (U @ V))))
+        orbits.S.T, per_cell(CENTRE.T, mat @ QU_V)))
     DV = np.concatenate([blocks[min(k, 1)] @ part for k, part in
                          enumerate(np.split(V, np.cumsum(chunk)[:-1]))])
     gap = np.abs(QUt_A_QU_V - DV).max()
@@ -461,22 +499,28 @@ def backward_error(A, x: np.ndarray, b: np.ndarray) -> float:
 
 def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
     """Forward/backward substitution against the stored factors, for one
-    right-hand side of shape (n,) or a block of them of shape (n, B)."""
+    right-hand side of shape (n,) or a block of them of shape (n, B):
+    x = T K T^T b, T the factor's cell_basis (see Factorization)."""
     b = np.asarray(b, dtype=np.complex128)
     if b.ndim not in (1, 2) or b.shape[0] != fact.n:
         raise ValueError(
             f"right-hand side must have shape ({fact.n},) or ({fact.n}, B), "
             f"got {b.shape}"
         )
+    T = fact.cell_basis
+    if T is not None:
+        b = per_cell(T.T, b)
     if fact.basis is None:
-        return fact.lu.solve(b)
-    (Q, Qt), (U, Ut) = fact.basis, fact.halves
-    y = fact.lu.solve(_real_times(Ut, _real_times(Qt, b)))
-    return _real_times(Q, _real_times(U, y))
+        x = fact.lu.solve(b)
+    else:
+        (S, St), (U, Ut) = fact.basis, fact.halves
+        y = fact.lu.solve(_real_times(Ut, _real_times(St, b)))
+        x = _real_times(S, _real_times(U, y))
+    return x if T is None else per_cell(T, x)
 
 
 def _real_times(Q: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Q @ b for a float64 Q (or U, or a transpose) and a complex b of
+    """Q @ b for a float64 Q (S, U, or a transpose) and a complex b of
     shape (n,) or (n, B), as one real product on b's float64 view; a
     non-C-contiguous b (SuperLU returns Fortran order) is copied first, as
     a complex product would."""

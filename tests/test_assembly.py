@@ -13,7 +13,15 @@ from mmdg.assembly import (
     assemble_oscillatory_load,
     assemble_standard,
 )
-from mmdg.dg_core import DGField, curl_vectors, gauss01, make_quadrature, ref_mass_12
+from mmdg.dg_core import (
+    CENTRE,
+    REF_CENTRED_MASS,
+    DGField,
+    curl_vectors,
+    gauss01,
+    make_quadrature,
+    ref_mass_12,
+)
 from mmdg.mesh import build_uniform_mesh
 from test_mesh import brute_force_faces
 
@@ -495,6 +503,35 @@ def test_oscillatory_load_block_matches_single_samples():
     for s in range(B):
         ref = assemble_oscillatory_load(mesh, xi[:, s], 2.0, q_f=4)
         assert np.allclose(b[:, s], ref, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+def test_oscillatory_load_block_is_bitwise_its_columns(L):
+    # the factored load is elementwise in the samples: a block of B
+    # columns, in either layout, gives each sample's load bit for bit
+    mesh = build_uniform_mesh(L)
+    xi = np.random.default_rng(L).uniform(-1, 1, (mesh.n_cells, 7))
+    for layout in (xi, np.asfortranarray(xi)):
+        b = assemble_oscillatory_load(mesh, layout, 2.0, q_f=4)
+        for s in range(xi.shape[1]):
+            assert np.array_equal(
+                b[:, s], assemble_oscillatory_load(mesh, xi[:, s], 2.0, q_f=4))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_centred_mode_source_is_the_centred_load(L):
+    # with the centred mass the source of centred coefficients x~ is C^T
+    # times the monomial source of x = C x~
+    mesh = build_uniform_mesh(L)
+    rng = np.random.default_rng(L)
+    n, B = 12 * mesh.n_cells, 3
+    eta = rng.uniform(-1, 1, (mesh.n_cells, B))
+    u, v = (rng.normal(size=(n, B)) + 1j * rng.normal(size=(n, B))
+            for _ in range(2))
+    C = sp.kron(sp.identity(n // 4), CENTRE)
+    b = assemble_mode_source(mesh, 2.0, eta, u, v, REF_CENTRED_MASS)
+    ref = C.T @ assemble_mode_source(mesh, 2.0, eta, C @ u, C @ v)
+    assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_oscillatory_load_bad_shapes_rejected():

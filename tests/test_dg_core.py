@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from mmdg.assembly import assemble_a_h
 from mmdg.dg_core import (
+    CENTRE,
     MONOMIAL_GRADS,
+    REF_CENTRED_MASS,
+    REF_MONOMIAL_MASS,
     DGField,
     _penalty_quadratic,
     all_curls,
@@ -288,6 +291,16 @@ def test_ref_mass_matches_quadrature():
     for comp in range(3):
         blk = M12[4 * comp:4 * comp + 4, 4 * comp:4 * comp + 4]
         assert np.allclose(blk, M4, atol=1e-14)
+
+
+def test_centred_monomials_are_orthogonal():
+    # C^T M C = diag(1, 1/12, 1/12, 1/12): the centred monomials 1, t_m - 1/2
+    assert np.abs(CENTRE.T @ REF_MONOMIAL_MASS @ CENTRE
+                  - REF_CENTRED_MASS).max() <= 1e-16
+    quad = make_quadrature(2)
+    centred = monomial_values(quad.cell_points) @ CENTRE
+    assert np.allclose(centred[:, 1:], quad.cell_points - 0.5, rtol=0,
+                       atol=1e-15)
 
 
 def test_basis_linear_independence():

@@ -486,8 +486,8 @@ def test_non_finite_last_mode_source_raises(N, entry, monkeypatch, tmp_path):
     source = driver.assemble_mode_source
     calls = []
 
-    def planted(mesh, k, etas, e_prev, e_prev2):
-        b = source(mesh, k, etas, e_prev, e_prev2)
+    def planted(mesh, k, etas, e_prev, e_prev2, mass):
+        b = source(mesh, k, etas, e_prev, e_prev2, mass)
         calls.append(1)
         if len(calls) == N:
             b[5, 1] = np.nan

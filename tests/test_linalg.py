@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from mmdg import linalg
 from mmdg.assembly import SystemMatrix, assemble_a_h, assemble_standard
-from mmdg.dg_core import DGField, eval_field
+from mmdg.dg_core import CENTRE, DGField, eval_field
 from mmdg.linalg import mirror_orbits
 from mmdg.mesh import build_uniform_mesh
 
@@ -38,6 +38,20 @@ def test_maxwell_matrix_vs_dense_oracle():
     assert np.linalg.norm(A.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
     x_dense = np.linalg.solve(A.matrix.toarray(), b)
     assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+
+
+def _q(orbits):
+    """The mirror basis Q = C S in monomial coefficients, built as
+    triplets from the orbit table: each nonzero C[dst, src] of a cell
+    block times the sign at (cell, sector, src)."""
+    C = np.kron(np.eye(3), CENTRE)
+    nc = orbits.sign.shape[0]
+    dst, src = np.nonzero(C)
+    v = orbits.sign[:, :, src] * C[dst, src]
+    rows = np.broadcast_to(12 * np.arange(nc)[:, None, None] + dst, v.shape)
+    keep = v != 0
+    return sp.csr_matrix((v[keep], (rows[keep], orbits.column[:, :, src][keep])),
+                         shape=(12 * nc, 12 * nc))
 
 
 def _unsplit(orbits):
@@ -88,7 +102,7 @@ def test_lu_reconstruction_residual():
     fact = linalg.factorize(A)
     orbits = mirror_orbits(mesh)
     U = fact.halves[0]
-    QU = orbits.Q @ U
+    QU = _q(orbits) @ U
     half = _halves_of(orbits, U)
     B = (QU.T @ A.matrix @ QU).toarray()
     same = half[:, None] == half[None, :]
@@ -261,15 +275,15 @@ def test_mirror_solve_matches_coupled_solve():
 def test_mirror_basis_is_square_and_grouped(L):
     mesh = build_uniform_mesh(L)
     orbits = mirror_orbits(mesh)
-    Q, sector = orbits.Q, orbits.sector
-    assert Q.shape == (12 * L**3, 12 * L**3)
+    S, sector = orbits.S, orbits.sector
+    assert S.shape == (12 * L**3, 12 * L**3)
     assert np.all(np.diff(sector) >= 0)
     sizes = np.bincount(sector, minlength=8)
     assert sizes.sum() == 12 * L**3
     if L == 1:                       # one sector is empty
         assert sizes.tolist() == [3, 1, 1, 2, 1, 2, 2, 0]
     if L <= 3:
-        assert np.linalg.matrix_rank(Q.toarray()) == 12 * L**3
+        assert np.linalg.matrix_rank(S.toarray()) == 12 * L**3
     # the representatives' columns number each column once, in its sector
     reps = orbits.rep == np.arange(mesh.n_cells)
     has = orbits.sign[reps] != 0
@@ -294,8 +308,75 @@ def test_mirror_basis_is_square_and_grouped(L):
         "nested_dissection" if L >= 5 else "mmd")
     again = mirror_orbits(mesh)
     assert np.array_equal(again.column, orbits.column)
-    assert all(np.array_equal(getattr(again.Q, a), getattr(Q, a))
+    assert all(np.array_equal(getattr(again.S, a), getattr(S, a))
                for a in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_signed_orbits_are_the_centred_mirror_basis(L, monkeypatch):
+    # S = C^-1 Q exactly, Q built from the orbit table; S's rows
+    # hold +-1 at most 8 times, one per sector, and its CSR arrays come in
+    # canonical order with no sort
+    def no_sort(self):
+        raise AssertionError("S's indices were sorted")
+
+    monkeypatch.setattr(sp.csr_matrix, "sort_indices", no_sort)
+    orbits = mirror_orbits(build_uniform_mesh(L))
+    S = orbits.S
+    monkeypatch.undo()
+    uncentre = sp.kron(sp.identity(3 * L**3), np.linalg.inv(CENTRE))
+    gap = (uncentre @ _q(orbits) - S).tocsr()
+    gap.eliminate_zeros()
+    assert gap.nnz == 0
+    assert S.has_canonical_format
+    assert np.all(np.abs(S.data) == 1)
+    per_row = np.diff(S.indptr)
+    assert per_row.max() <= 8
+    assert (per_row.max() == 8) == (L > 1)
+    rows = np.repeat(np.arange(S.shape[0]), per_row)
+    within = rows[1:] == rows[:-1]
+    assert np.all(np.diff(S.indices)[within] > 0)
+    sector = orbits.sector[S.indices]
+    assert np.all(sector[1:][within] > sector[:-1][within])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+@pytest.mark.parametrize("factor", ["mirror", "coupled"])
+def test_centred_view_solves_the_centred_system(L, factor):
+    # the view shares the factors and solves x~ = C^-1 A^-1 C^-T b~; on
+    # the mirror factor it applies no change of basis at all
+    A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+    n = A.matrix.shape[0]
+    fact = (linalg.factorize(A) if factor == "mirror" else
+            linalg.Factorization(lu=spla.splu(A.matrix), n=n,
+                                 nnz=A.matrix.nnz))
+    view = linalg.centred(fact)
+    assert view.lu is fact.lu and view.basis is fact.basis
+    assert (view.cell_basis is None) == (factor == "mirror")
+    C = sp.kron(sp.identity(n // 4), CENTRE).tocsc()
+    rng = np.random.default_rng(L)
+    b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    ref = spla.spsolve(C, spla.splu(A.matrix).solve(spla.spsolve(C.T, b)))
+    x = linalg.solve(view, b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.array_equal(x[:, 1], linalg.solve(view, b[:, 1]))
+
+
+def test_per_cell_is_the_block_diagonal_product():
+    # (I (x) T) x for C, C^T and C^-1, real and complex, one column or a
+    # block; a block's columns are bitwise the single columns
+    n = 12 * 8
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    for T in (CENTRE, CENTRE.T, np.linalg.inv(CENTRE)):
+        full = sp.kron(sp.identity(n // 4), T)
+        for x in (X, X.real.copy(), X[:, 2], np.asfortranarray(X)):
+            out = linalg.per_cell(T, x)
+            assert out.shape == x.shape and out.dtype == x.dtype
+            assert np.abs(out - full @ x).max() <= 1e-15 * np.abs(x).max()
+        block = linalg.per_cell(T, X)
+        for col in range(X.shape[1]):
+            assert np.array_equal(block[:, col], linalg.per_cell(T, X[:, col]))
 
 
 @pytest.mark.parametrize("R", [1, 2, 3, 4, 5])
@@ -364,7 +445,7 @@ def test_mirror_basis_columns_have_their_parity(L):
     # mirror R_a: x_a -> 1 - x_a, i.e. R_a E(R_a x) = -E(x)
     mesh = build_uniform_mesh(L)
     orbits = mirror_orbits(mesh)
-    Q, sector = orbits.Q, orbits.sector
+    Q, sector = _q(orbits), orbits.sector
     rng = np.random.default_rng(0)
     for j in range(Q.shape[1]):
         field = DGField(mesh, Q[:, j].toarray().ravel())
@@ -389,7 +470,7 @@ def test_mirror_basis_columns_have_their_parity(L):
 def test_a_h_does_not_couple_mirror_sectors(L, k, lam, gamma0, gamma1):
     mesh = build_uniform_mesh(L)
     orbits = mirror_orbits(mesh)
-    Q, sector = orbits.Q, orbits.sector
+    Q, sector = _q(orbits), orbits.sector
     B = (Q.T @ assemble_a_h(mesh, k, lam, gamma0, gamma1).matrix @ Q).tocoo()
     cross = sector[B.row] != sector[B.col]
     assert np.abs(B.data[cross]).max() <= 1e-14 * np.abs(B.data).max()
@@ -415,7 +496,8 @@ def test_pairing_is_each_sectors_axis_swap(L):
     for s in range(8):
         # the swap on the dofs: cell (i_0, i_1, i_2), component c and
         # monomial t_m go to the cell with i_a, i_b exchanged, component
-        # swap(c) and monomial t_swap(m); it maps column j of Q to pair[j]
+        # swap(c) and monomial t_swap(m), on centred monomials as on
+        # monomials; it maps column j of S to pair[j]
         a, b = _swap_of(s)
         axes = np.arange(3)
         axes[[a, b]] = b, a
@@ -423,7 +505,7 @@ def test_pairing_is_each_sectors_axis_swap(L):
         loc = 4 * axes[:, None] + np.concatenate([[0], axes + 1])
         dof = (12 * cell[:, None] + loc.ravel()).ravel()
         cols = np.flatnonzero(sector == s)
-        moved = orbits.Q[dof][:, cols] - orbits.Q[:, pair[cols]]
+        moved = orbits.S[dof][:, cols] - orbits.S[:, pair[cols]]
         assert moved.count_nonzero() == 0
     # U is orthogonal, and its 16 halves hold every column once, by sector
     # in chunk order, each half in the order of its lead columns
@@ -484,14 +566,14 @@ def test_cycled_sectors_are_numbered_as_images(L):
 
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_factorize_refuses_a_matrix_that_breaks_the_cycle(L):
-    # 1e-9 max|A| times the identity on sector 2's columns of Q, mapped
+    # 1e-9 max|A| times the identity on sector 2's columns of Q = C S, mapped
     # back to A: it commutes with the mirrors and with sector 2's swap,
     # within each sector, but the cycle carries it to sector 4, where A
     # has none of it
     mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     orbits = mirror_orbits(mesh)
-    Q_inv = np.linalg.inv(orbits.Q.toarray())
+    Q_inv = np.linalg.inv(_q(orbits).toarray())
     E = Q_inv.T @ np.diag((orbits.sector == 2).astype(float)) @ Q_inv
     E[abs(E) <= 1e-14 * abs(E).max()] = 0
     bad = sp.csc_matrix(A.matrix + 1e-9 * abs(A.matrix.data).max()
@@ -519,7 +601,7 @@ def test_half_blocks_refuse_a_table_rotated_the_wrong_way(L):
     assert np.array_equal(np.sort(renumber), np.arange(n))
     pair = np.empty(n, dtype=np.intp)
     pair[renumber] = renumber[orbits.pair]
-    wrong = orbits._replace(Q=orbits.Q[:, np.argsort(renumber)].tocsr(),
+    wrong = orbits._replace(S=orbits.S[:, np.argsort(renumber)].tocsr(),
                             column=renumber[orbits.column], pair=pair)
     linalg.half_blocks(A.matrix, orbits)
     with pytest.raises(ValueError, match="not cycle-invariant"):
@@ -537,7 +619,7 @@ def test_a_h_does_not_couple_swap_halves(L, k, lam, gamma0, gamma1):
     A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
     orbits = mirror_orbits(mesh)
     blocks, U = linalg.half_blocks(A.matrix, orbits)
-    QU = orbits.Q @ U
+    QU = _q(orbits) @ U
     half = _halves_of(orbits, U)
     B = (QU.T @ A.matrix @ QU).tocoo()
     cross = half[B.row] != half[B.col]
@@ -563,7 +645,7 @@ def test_half_blocks_refuse_a_matrix_that_breaks_a_swap(L):
     chiral = np.zeros((12, 12))
     for c in range(3):
         chiral[4 * c + (c + 1) % 3 + 1, 4 * ((c + 1) % 3) + c + 1] = 1.0
-    uncentre = np.linalg.inv(linalg._CENTRE)
+    uncentre = np.linalg.inv(np.kron(np.eye(3), CENTRE))
     bad = sp.csc_matrix(A + 1e-9 * abs(A.data).max() * sp.kron(
         sp.identity(mesh.n_cells), uncentre.T @ chiral @ uncentre))
     orbits = mirror_orbits(mesh)
@@ -616,7 +698,7 @@ def _sector_diagonal_of_product(mesh, A):
     """The oracle: Q^T A Q by two sparse products, its cross-sector
     entries dropped."""
     orbits = mirror_orbits(mesh)
-    Q, sector = orbits.Q, orbits.sector
+    Q, sector = _q(orbits), orbits.sector
     B = (Q.T @ A.matrix @ Q).tocoo()
     same = sector[B.row] == sector[B.col]
     return sp.csc_matrix((B.data[same], (B.row[same], B.col[same])),
@@ -709,7 +791,7 @@ def test_sector_blocks_refuse_one_moved_entry(L):
     A = sp.csc_matrix(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1).matrix)
     orbits = mirror_orbits(mesh)
     U = linalg.half_blocks(A, orbits)[1]
-    QU, half = (orbits.Q @ U).tocsr(), _halves_of(orbits, U)
+    QU, half = (_q(orbits) @ U).tocsr(), _halves_of(orbits, U)
     rows = A.indices
     cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
     moved = 0
@@ -771,15 +853,17 @@ def test_sector_blocks_peak_memory():
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
                                     "real"])
 def test_mirror_solve_is_q_lu_qt_bitwise(layout):
-    # the solve is Q U D^-1 U^T Q^T b, Q and U each applied as a real
-    # matrix to the float64 view of its operand, and D^-1 as D_07's factor
-    # on chunk 0 and D_13's on chunks 1, 2, 3 in one stacked call; that
-    # must give the same bits as the complex products and a call per
-    # chunk, whatever b's layout
+    # the solve is Q U D^-1 U^T Q^T b with Q = C S: S and U each applied
+    # as a real matrix to the float64 view of its operand, C per cell, and
+    # D^-1 as D_07's factor on chunk 0 and D_13's on chunks 1, 2, 3 in one
+    # stacked call; that must give the same bits as the complex products
+    # and a call per chunk, whatever b's layout
     fact = linalg.factorize(assemble_a_h(build_uniform_mesh(4), 2.0, 1.0,
                                          10.0, 0.1))
-    (Q, Qt), (U, Ut) = fact.basis, fact.halves
-    assert Q.dtype == Qt.dtype == U.dtype == Ut.dtype == np.float64
+    (S, St), (U, Ut) = fact.basis, fact.halves
+    assert S.dtype == St.dtype == U.dtype == Ut.dtype == np.float64
+    assert fact.cell_basis is CENTRE
+    C = sp.kron(sp.identity(fact.n // 4), CENTRE).astype(complex)
     rng = np.random.default_rng(8)
     full = (rng.normal(size=(fact.n, 6))
             + 1j * rng.normal(size=(fact.n, 6)))
@@ -787,12 +871,12 @@ def test_mirror_solve_is_q_lu_qt_bitwise(layout):
          "Fortran": np.asfortranarray(full), "strided": full[:, ::2],
          "real": full.real.copy()}[layout]
     x = linalg.solve(fact, b)
-    y = U.T.astype(complex) @ (Q.T.astype(complex) @ b)
+    y = U.T.astype(complex) @ (S.T.astype(complex) @ (C.T @ b))
     fixed, cycled = fact.lu.parts
     y = np.concatenate([(fixed if start == 0 else cycled).solve(
         y[start:start + D.shape[0]]) for start, D in _by_chunk(
         (fixed, cycled))])
-    ref = Q.astype(complex) @ (U.astype(complex) @ y)
+    ref = C @ (S.astype(complex) @ (U.astype(complex) @ y))
     assert x.shape == b.shape
     assert np.array_equal(x, ref)
 
