@@ -21,23 +21,21 @@ sector into its swap-even and swap-odd halves.  The cycle fixes sectors
 2, 6 and 4, 5 as the images of 1 and 3, and U orders its halves in four
 chunks of sectors, [0, 7 | 1, 3 | 2, 6 | 4, 5], so that (QU)^T A QU =
 diag(D_07, D_13, D_13, D_13).  half_blocks, the one fold, builds U and
-the 8 distinct half-blocks, D_07 and D_13, each of n/4 columns, from the
-12x12 cell blocks of A at the representative cells; one SuperLU holds
-each, and MirrorLU the pair.  A solve is x = C S U D^{-1} U^T S^T C^T b,
-one call of D_07's factor on chunk 0 and one of D_13's on chunks 1, 2, 3
-side by side; it is right only if (QU)^T A QU is that block diagonal,
-which half_blocks checks on 4 fixed random columns, so an A that does
-not commute with the mirrors, the swaps and the cycle, and a wrong orbit,
-pairing or cycle numbering, are refused with ValueError.  S's entries are
-+-1, 8 a row at most, and U's +-1 or +-1/sqrt 2, so S, U and their
-transposes are float64 and each acts on the (n, 2B) float64 view of a
-C-contiguous complex block: half the flops of a complex product, with
-bitwise the same result.  C is applied cell by cell (per_cell).
+the distinct half-blocks D_07 and D_13, each of n/4 columns, from the
+12x12 cell blocks of A at the representative cells, and checks that
+identity on 4 fixed random columns, so an A that does not commute with
+the mirrors, the swaps and the cycle, and a wrong orbit, pairing or cycle
+numbering, are refused with ValueError.
 
-A Factorization carries the per-cell change of basis of its solve
-(cell_basis, see Factorization), and centred(fact), with the same
-factors, solves in centred coefficients x~ = C^-1 x, b~ = C^T b: on the
-mirror factor that is S U D^{-1} U^T S^T b~, with no C at all.
+MirrorLU is the whole mirror solve, S U D^{-1} U^T S^T b~ in centred
+coefficients.  S's entries are +-1 and U's +-1 or +-1/sqrt 2, so S, U and
+their transposes are float64 and each acts on the (n, 2B) float64 view of
+a C-contiguous complex block: half the flops of a complex product, with
+bitwise the same result.  A Factorization is a factor, a MirrorLU or A's
+own SuperLU, and the per-cell change of basis T of its solve, x = T
+lu.solve(T^T b): T = C on factorize's mirror factor, which solves A, and
+none on its centred view centred(fact), which shares the factors and
+solves in centred coefficients x~ = C^-1 x, b~ = C^T b.
 
 mirror_orbits numbers the columns of sectors 0, 7, 1 and 3 by nested
 dissection of their cell grid at every L, and U's columns go by half,
@@ -45,9 +43,8 @@ then by their lead columns min(j, pair[j]).  From L = NESTED_MIN_L = 5
 on, SuperLU keeps that order (NATURAL); below, it reorders each part by
 minimum degree on D + D^T (MMD_AT_PLUS_A).  Neither joins two halves.
 SuperLU.nnz, summed over the two parts, is 52 758 at L=6 and 214 469 at
-L=8, against 106 748 and 430 668 for the 16 halves, 170 432 and 709 184
-for the 8 sector blocks and 1 004 072 and 3 787 360 for the coupled
-factor of A_h; it can move with round-off in D, through pivoting.
+L=8, against 1 004 072 and 3 787 360 for the coupled factor of A_h; it
+can move with round-off in D, through pivoting.
 
 one_blas_thread holds every OpenBLAS the process has mapped at one thread
 while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
@@ -103,15 +100,20 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class MirrorLU:
-    """The LU factors of diag(D_07, D_13), one SuperLU each, where
-    (QU)^T A QU = D = diag(D_07, D_13, D_13, D_13) (see half_blocks).
-    solve applies D^-1 to columns in U's numbering: D_07's factor to chunk
-    0, and D_13's to chunks 1, 2 and 3 stacked side by side, in one call.
-    nnz, L and U are those of diag(D_07, D_13)'s factor, each stored entry
-    once: the parts' sums and block diagonals, L and U built on read as
-    SuperLU's are."""
+    """The whole mirror solve, in centred coefficients: S U D^-1 U^T S^T
+    b~, where (QU)^T A QU = D = diag(D_07, D_13, D_13, D_13) (see
+    half_blocks).  parts holds one SuperLU each of D_07 and D_13, basis the
+    signed orbit sums (S, S^T) and halves the orthogonal (U, U^T) that
+    splits each mirror sector by an axis swap, all float64.  D^-1 is
+    written in place into U^T S^T b~: D_07's factor solves chunk 0, and
+    D_13's chunks 1, 2 and 3 stacked side by side, in one call, each on a
+    copy SuperLU makes of its right-hand side.  nnz, L and U are those of
+    diag(D_07, D_13)'s factor, each stored entry once: the parts' sums and
+    block diagonals, L and U built on read as SuperLU's are."""
 
     parts: tuple[spla.SuperLU, spla.SuperLU]
+    basis: tuple[sp.csr_matrix, sp.csr_matrix]    # (S, S^T)
+    halves: tuple[sp.csr_matrix, sp.csr_matrix]   # (U, U^T)
 
     @property
     def nnz(self) -> int:
@@ -125,37 +127,34 @@ class MirrorLU:
     def U(self) -> sp.csc_matrix:
         return sp.block_diag([part.U for part in self.parts], format="csc")
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        (S, St), (U, Ut) = self.basis, self.halves
         (n07, _), (n13, _) = (part.shape for part in self.parts)
+        y = _real_times(Ut, _real_times(St, b))
         cols = y.reshape(len(y), -1)
         B = cols.shape[1]
-        x = np.empty(cols.shape, dtype=np.complex128)
-        x[:n07] = self.parts[0].solve(cols[:n07])
+        cols[:n07] = self.parts[0].solve(cols[:n07])
         # column k B + b of the stacked block is column b of chunk k + 1
-        stacked = cols[n07:].reshape(3, n13, B).transpose(1, 0, 2)
-        x[n07:].reshape(3, n13, B)[:] = self.parts[1].solve(
-            stacked.reshape(n13, 3 * B)).reshape(n13, 3, B).transpose(1, 0, 2)
-        return x.reshape(y.shape)
+        chunks = cols[n07:].reshape(3, n13, B)
+        chunks[:] = self.parts[1].solve(
+            chunks.transpose(1, 0, 2).reshape(n13, 3 * B)).reshape(
+            n13, 3, B).transpose(1, 0, 2)
+        return _real_times(S, _real_times(U, y))
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Stored sparse LU factors, and the per-cell change of basis T of
-    their solve, x = T K T^T b (T applied per_cell; None is the identity).
-    For a mirror-invariant A, lu is the MirrorLU of its distinct
-    half_blocks, basis holds the signed orbit sums (S, S^T) and halves the
-    orthogonal (U, U^T) that splits each mirror sector by an axis swap,
-    all float64, and K = S U D^-1 U^T S^T with D = diag(D_07, D_13, D_13,
-    D_13): factorize sets T = CENTRE, which solves A, and its centred view
+    """Stored sparse LU factors and the per-cell change of basis T of
+    their solve, x = T lu.solve(T^T b) (T applied per_cell; None is the
+    identity).  For a mirror-invariant A, lu is the MirrorLU of its mirror
+    basis and distinct half_blocks, which solves C^-1 A^-1 C^-T with C =
+    CENTRE: factorize sets T = CENTRE, which solves A, and its centred view
     T = None, which solves the centred system.  Otherwise lu is A's
-    SuperLU, K = A^-1, basis and halves are None, and T = None solves A,
-    T = CENTRE^-1 the centred system."""
+    SuperLU, and T = None solves A, T = CENTRE^-1 the centred system."""
 
     lu: "spla.SuperLU | MirrorLU"
     n: int
     nnz: int                                  # of A
-    basis: tuple[sp.csr_matrix, sp.csr_matrix] | None = None   # (S, S^T)
-    halves: tuple[sp.csr_matrix, sp.csr_matrix] | None = None  # (U, U^T)
     ordering: str = "mmd"                     # or "nested_dissection"
     cell_basis: np.ndarray | None = None      # T, 4x4 per component
 
@@ -178,15 +177,16 @@ def factorize(A) -> Factorization:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
-    basis = halves = cell_basis = None
-    blocks, ordering = (mat,), "mmd"
-    if getattr(A, "mirror_mesh", None) is not None:
-        orbits = mirror_orbits(A.mirror_mesh)
+    mesh = getattr(A, "mirror_mesh", None)
+    blocks, ordering, cell_basis = (mat,), "mmd", None
+    if mesh is not None:
+        if N_LOCAL * mesh.n_cells != n:
+            raise ValueError(f"mirror_mesh has {N_LOCAL * mesh.n_cells} "
+                             f"dofs, the matrix {n}")
+        orbits = mirror_orbits(mesh)
         blocks, U = half_blocks(mat, orbits)
-        basis = (orbits.S, orbits.S.T.tocsr())
-        halves = (U, U.T.tocsr())
         cell_basis = CENTRE
-        if A.mirror_mesh.L >= NESTED_MIN_L:
+        if mesh.L >= NESTED_MIN_L:
             ordering = "nested_dissection"
     permc = {"mmd": "MMD_AT_PLUS_A", "nested_dissection": "NATURAL"}[ordering]
     try:
@@ -195,9 +195,10 @@ def factorize(A) -> Factorization:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
-    return Factorization(lu=parts[0] if basis is None else MirrorLU(parts),
-                         n=n, nnz=nnz, basis=basis, halves=halves,
-                         ordering=ordering, cell_basis=cell_basis)
+    lu = parts[0] if mesh is None else MirrorLU(
+        parts, (orbits.S, orbits.S.T.tocsr()), (U, U.T.tocsr()))
+    return Factorization(lu=lu, n=n, nnz=nnz, ordering=ordering,
+                         cell_basis=cell_basis)
 
 
 def centred(fact: Factorization) -> Factorization:
@@ -500,7 +501,7 @@ def backward_error(A, x: np.ndarray, b: np.ndarray) -> float:
 def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
     """Forward/backward substitution against the stored factors, for one
     right-hand side of shape (n,) or a block of them of shape (n, B):
-    x = T K T^T b, T the factor's cell_basis (see Factorization)."""
+    x = T lu.solve(T^T b), T the factor's cell_basis (see Factorization)."""
     b = np.asarray(b, dtype=np.complex128)
     if b.ndim not in (1, 2) or b.shape[0] != fact.n:
         raise ValueError(
@@ -508,21 +509,15 @@ def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
             f"got {b.shape}"
         )
     T = fact.cell_basis
-    if T is not None:
-        b = per_cell(T.T, b)
-    if fact.basis is None:
-        x = fact.lu.solve(b)
-    else:
-        (S, St), (U, Ut) = fact.basis, fact.halves
-        y = fact.lu.solve(_real_times(Ut, _real_times(St, b)))
-        x = _real_times(S, _real_times(U, y))
-    return x if T is None else per_cell(T, x)
+    if T is None:
+        return fact.lu.solve(b)
+    return per_cell(T, fact.lu.solve(per_cell(T.T, b)))
 
 
 def _real_times(Q: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Q @ b for a float64 Q (S, U, or a transpose) and a complex b of
     shape (n,) or (n, B), as one real product on b's float64 view; a
-    non-C-contiguous b (SuperLU returns Fortran order) is copied first, as
-    a complex product would."""
+    non-C-contiguous b (a strided or Fortran-order block) is copied first,
+    as a complex product would."""
     c = np.ascontiguousarray(b if b.ndim == 2 else b[:, None])
     return (Q @ c.view(np.float64)).view(np.complex128).reshape(b.shape)

@@ -101,7 +101,7 @@ def test_lu_reconstruction_residual():
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     orbits = mirror_orbits(mesh)
-    U = fact.halves[0]
+    U = fact.lu.halves[0]
     QU = _q(orbits) @ U
     half = _halves_of(orbits, U)
     B = (QU.T @ A.matrix @ QU).toarray()
@@ -351,7 +351,7 @@ def test_centred_view_solves_the_centred_system(L, factor):
             linalg.Factorization(lu=spla.splu(A.matrix), n=n,
                                  nnz=A.matrix.nnz))
     view = linalg.centred(fact)
-    assert view.lu is fact.lu and view.basis is fact.basis
+    assert view.lu is fact.lu
     assert (view.cell_basis is None) == (factor == "mirror")
     C = sp.kron(sp.identity(n // 4), CENTRE).tocsc()
     rng = np.random.default_rng(L)
@@ -428,7 +428,7 @@ def test_factorization_is_frozen():
     fact = linalg.factorize(assemble_a_h(build_uniform_mesh(2), 2.0, 1.0,
                                          10.0, 0.1))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fact.basis = None
+        fact.cell_basis = None
 
 
 def test_small_meshes_keep_minimum_degree():
@@ -850,6 +850,33 @@ def test_sector_blocks_peak_memory():
     assert peak < 7 * A.matrix.data.nbytes
 
 
+@pytest.mark.parametrize("L", [4, 8])
+def test_mirror_solve_peak_memory(L):
+    # a 16-column centred solve writes D^-1 into U^T S^T b in place: its
+    # traced peak is 3.0 blocks of 16 n B bytes, and a second block for
+    # D^-1's result would make it 3.5
+    import tracemalloc
+
+    view = linalg.centred(linalg.factorize(
+        assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)))
+    rng = np.random.default_rng(L)
+    b = rng.normal(size=(view.n, 16)) + 1j * rng.normal(size=(view.n, 16))
+    tracemalloc.start()
+    try:
+        linalg.solve(view, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * b.nbytes
+
+
+def test_factorize_refuses_a_mirror_mesh_of_another_size():
+    A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
+    with pytest.raises(ValueError, match="324 dofs, the matrix 768"):
+        linalg.factorize(SystemMatrix(A.matrix,
+                                      mirror_mesh=build_uniform_mesh(3)))
+
+
 @pytest.mark.parametrize("layout", ["1-D", "C", "Fortran", "strided",
                                     "real"])
 def test_mirror_solve_is_q_lu_qt_bitwise(layout):
@@ -860,7 +887,7 @@ def test_mirror_solve_is_q_lu_qt_bitwise(layout):
     # and a call per chunk, whatever b's layout
     fact = linalg.factorize(assemble_a_h(build_uniform_mesh(4), 2.0, 1.0,
                                          10.0, 0.1))
-    (S, St), (U, Ut) = fact.basis, fact.halves
+    (S, St), (U, Ut) = fact.lu.basis, fact.lu.halves
     assert S.dtype == St.dtype == U.dtype == Ut.dtype == np.float64
     assert fact.cell_basis is CENTRE
     C = sp.kron(sp.identity(fact.n // 4), CENTRE).astype(complex)
