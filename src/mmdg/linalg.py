@@ -1,8 +1,8 @@
 """Sparse complex LU factorization reusable across many right-hand sides.
 
-Backed by SuperLU via scipy with partial pivoting; the factorization object
-is immutable after construction and every solve is a pair of triangular
-substitutions, for one right-hand side or a block of them at once.
+Backed by SuperLU via scipy; the factorization object is immutable after
+construction and every solve is a pair of triangular substitutions, for
+one right-hand side or a block of them at once.
 
 The deterministic IP-DG matrix A_h (uniform mesh of the unit cube,
 constant coefficients, the same impedance condition on all six faces)
@@ -37,14 +37,17 @@ lu.solve(T^T b): T = C on factorize's mirror factor, which solves A, and
 none on its centred view centred(fact), which shares the factors and
 solves in centred coefficients x~ = C^-1 x, b~ = C^T b.
 
-mirror_orbits numbers the columns of sectors 0, 7, 1 and 3 by nested
-dissection of their cell grid at every L, and U's columns go by half,
-then by their lead columns min(j, pair[j]).  From L = NESTED_MIN_L = 5
-on, SuperLU keeps that order (NATURAL); below, it reorders each part by
-minimum degree on D + D^T (MMD_AT_PLUS_A).  Neither joins two halves.
-SuperLU.nnz, summed over the two parts, is 52 758 at L=6 and 214 469 at
-L=8, against 1 004 072 and 3 787 360 for the coupled factor of A_h; it
-can move with round-off in D, through pivoting.
+A_h, each sample's A(alpha), and so D_07 and D_13, are complex
+symmetric, A = A^T, and every splu call factors them as such: minimum
+degree on A + A^T (MMD_AT_PLUS_A), SuperLU's symmetric mode, and a pivot
+that stays on the diagonal unless it is below DIAG_PIVOT_THRESH of its
+column's largest entry.  mirror_orbits numbers the columns of sectors 0,
+7, 1 and 3 by representative cell in index order, and U's columns go by
+half, then by their lead columns min(j, pair[j]); the ordering never
+joins two halves.  SuperLU.nnz, summed over the two parts, is 5 728 at
+L=4, 41 840 at L=6 and 169 822 at L=8, against 123 034, 985 686 and
+3 761 456 for the coupled factor of A_h; it can move with round-off in
+D, through pivoting.
 
 one_blas_thread holds every OpenBLAS the process has mapped at one thread
 while a driver runs: SuperLU's dense kernels call scipy's OpenBLAS, whose
@@ -78,12 +81,13 @@ from .dg_core import CENTRE, N_LOCAL
 MIRROR_TOL = 2e-13
 # Half-block entries at most this fraction of the largest are round-off.
 ROUNDOFF = 1e-14
-# From this L on SuperLU keeps the parts' nested-dissection order.  At L=4
-# minimum degree stores less (SuperLU.nnz 7 418 against 7 609, both parts)
-# and solves 16 columns faster (0.39 against 0.41 ms, best of 7, 2 vCPUs).
-# The best order is not monotone in L: NATURAL also wins at L=3 (1 454
-# against 2 030), but only tests run L=3, so one threshold is kept.
-NESTED_MIN_L = 5
+# A pivot stays on the diagonal unless it is below this fraction of its
+# column's largest entry.  At the default parameters every pivot of A_h's
+# parts stays there (L = 3-8).  Over k in {0.5, 2, 8, 20}, lambda in {0.1,
+# 1, 10}, gamma0 in {0, 1, 10, 100}, gamma1 in {0, 0.1, 1} at L = 3, 4, a
+# threshold of 0 raises |A x - b| / |b| up to 55x over full partial
+# pivoting where gamma0 = 0 (to 3.8e-12); 0.1 stays within 2.1x.
+DIAG_PIVOT_THRESH = 0.1
 
 
 # (setter, getter) names an OpenBLAS build exports: scipy's wheel, numpy's
@@ -155,30 +159,31 @@ class Factorization:
     lu: "spla.SuperLU | MirrorLU"
     n: int
     nnz: int                                  # of A
-    ordering: str = "mmd"                     # or "nested_dissection"
     cell_basis: np.ndarray | None = None      # T, 4x4 per component
 
     @property
     def stats(self) -> dict:
-        """The column ordering, nnz of A and the entries SuperLU stores
-        for L and U, the explicit zeros of its supernodes included; read
-        without copying the factors, unlike lu.L and lu.U."""
-        return {"ordering": self.ordering, "nnz_A": self.nnz,
-                "nnz_LU": self.lu.nnz}
+        """The column ordering (minimum degree, "mmd", for every factor),
+        nnz of A and the entries SuperLU stores for L and U, the explicit
+        zeros of its supernodes included; read without copying the
+        factors, unlike lu.L and lu.U."""
+        return {"ordering": "mmd", "nnz_A": self.nnz, "nnz_LU": self.lu.nnz}
 
 
 def factorize(A) -> Factorization:
     """Factor a sparse complex matrix, or a SystemMatrix wrapper; one that
     names a mirror_mesh is factored as its two distinct half_blocks, one
-    SuperLU each, in the column order of mirror_orbits from L =
-    NESTED_MIN_L on."""
+    SuperLU each.  Every splu call orders by minimum degree on A + A^T,
+    with SuperLU's symmetric mode and diagonal pivots down to
+    DIAG_PIVOT_THRESH, the treatment of a complex-symmetric A = A^T;
+    another matrix is still factored, with off-diagonal pivots."""
     mat = getattr(A, "matrix", A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = sp.csc_matrix(mat, dtype=np.complex128)
     n, nnz = mat.shape[0], mat.nnz
     mesh = getattr(A, "mirror_mesh", None)
-    blocks, ordering, cell_basis = (mat,), "mmd", None
+    blocks, cell_basis = (mat,), None
     if mesh is not None:
         if N_LOCAL * mesh.n_cells != n:
             raise ValueError(f"mirror_mesh has {N_LOCAL * mesh.n_cells} "
@@ -186,19 +191,17 @@ def factorize(A) -> Factorization:
         orbits = mirror_orbits(mesh)
         blocks, U = half_blocks(mat, orbits)
         cell_basis = CENTRE
-        if mesh.L >= NESTED_MIN_L:
-            ordering = "nested_dissection"
-    permc = {"mmd": "MMD_AT_PLUS_A", "nested_dissection": "NATURAL"}[ordering]
+    options = dict(SymmetricMode=True, DiagPivotThresh=DIAG_PIVOT_THRESH)
     try:
-        parts = tuple(spla.splu(block, permc_spec=permc) for block in blocks)
+        parts = tuple(spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                options=options) for block in blocks)
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"sparse LU failed, matrix is numerically singular: {exc}"
         ) from exc
     lu = parts[0] if mesh is None else MirrorLU(
         parts, (orbits.S, orbits.S.T.tocsr()), (U, U.T.tocsr()))
-    return Factorization(lu=lu, n=n, nnz=nnz, ordering=ordering,
-                         cell_basis=cell_basis)
+    return Factorization(lu=lu, n=n, nnz=nnz, cell_basis=cell_basis)
 
 
 def centred(fact: Factorization) -> Factorization:
@@ -268,16 +271,16 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     L-1-i make an even and an odd combination numbered min(i, L-1-i), the
     odd one weighing cell i by sign(L-1-2i): a mid-plane cell has none, so
     S stays square.  The representatives fill an R^3 box, R = (L+1)//2.
-    The columns of sectors 0, 7, 1 and 3 go by representative in nested-
-    dissection order of that box, then by local dof; sector s = 2, 6 or
-    4, 5, the image of 1 or 3 under the axis cycle to the power
-    _TURNS[s], gives the column at the images of (representative c, loc)
-    the index within its sector of the one at (c, loc).  A sector's swap
-    maps the column at (representative c, loc) to the one at (swapped c,
-    swapped loc), read off the same numbering.  Row (cell, loc) of S
-    holds sign[cell, s, loc] at column[cell, s, loc] for the sectors s
-    where the sign is not 0; the sectors' columns are grouped in sector
-    order, so S's CSR arrays are written row by row with no sort."""
+    The columns of sectors 0, 7, 1 and 3 go by representative in index
+    order of that box, then by local dof; sector s = 2, 6 or 4, 5, the
+    image of 1 or 3 under the axis cycle to the power _TURNS[s], gives
+    the column at the images of (representative c, loc) the index within
+    its sector of the one at (c, loc).  A sector's swap maps the column
+    at (representative c, loc) to the one at (swapped c, swapped loc),
+    read off the same numbering.  Row (cell, loc) of S holds sign[cell, s,
+    loc] at column[cell, s, loc] for the sectors s where the sign is not
+    0; the sectors' columns are grouped in sector order, so S's CSR arrays
+    are written row by row with no sort."""
     L, n = mesh.L, N_LOCAL * mesh.n_cells
     R = (L + 1) // 2
     i = np.arange(L)
@@ -287,9 +290,7 @@ def mirror_orbits(mesh) -> MirrorOrbits:
     parity = (np.arange(8)[:, None, None] >> np.arange(3) & 1) ^ _MIRROR_ODD.T
     ncol = np.array([R, L // 2])[parity]               # (sector, loc, axis)
     box = np.stack(np.unravel_index(np.arange(R ** 3), (R,) * 3), axis=1)
-    box = _dissection(box)                      # representatives in order
-    at = np.empty((R,) * 3, dtype=np.intp)      # each one's place in box
-    at[tuple(box.T)] = np.arange(R ** 3)
+    at = np.arange(R ** 3).reshape((R,) * 3)    # each one's place in box
 
     def carry(perm):
         """Where each sector's axis permutation perm[s] (axis a to
@@ -326,20 +327,6 @@ def mirror_orbits(mesh) -> MirrorOrbits:
         sector=np.repeat(np.arange(8), count),
         rep=np.ravel_multi_index(half, (L,) * 3),
         size=2 ** np.count_nonzero(2 * ijk != L - 1, axis=0), pair=pair)
-
-
-def _dissection(cells: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of a box of cells, (k, 3) coordinates in
-    index order: bisect the box across its longest axis, then number the
-    lower half, the upper half, and last the one-cell separator between
-    them in index order; the halves recurse down to single cells."""
-    if len(cells) <= 1:
-        return cells
-    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
-    a = np.argmax(hi - lo)
-    mid, x = (lo[a] + hi[a]) // 2, cells[:, a]
-    return np.concatenate([_dissection(cells[x < mid]),
-                           _dissection(cells[x > mid]), cells[x == mid]])
 
 
 def half_blocks(mat, orbits: MirrorOrbits) -> tuple[

@@ -134,12 +134,11 @@ def test_reproducibility_and_worker_invariance():
 
 
 @pytest.mark.parametrize("M", [5, 37])
-def test_worker_invariance_under_nested_dissection(M):
-    # L=6 factors the sector blocks in nested-dissection order
+def test_worker_invariance_of_the_mirror_factor(M):
+    # L=6 factors the two distinct half-blocks by the one symmetric rule
     cfg = RunConfig(L=6, M=M, N=3, seed=11)
     runs = [run_multimodes(dataclasses.replace(cfg, workers=w))
             for w in (1, 2, 3, 1)]
-    assert runs[0].diagnostics["factor"]["ordering"] == "nested_dissection"
     for r in runs[1:]:
         assert np.array_equal(r.psi.coeffs, runs[0].psi.coeffs)
         assert r.diagnostics == runs[0].diagnostics
@@ -147,18 +146,17 @@ def test_worker_invariance_under_nested_dissection(M):
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 @pytest.mark.parametrize("field", FIELD_KINDS)
-def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
-                                                          monkeypatch):
-    # the mirror-basis factor of the nested-dissection numbered sectors,
-    # kept in that order from L=5 on and reordered by minimum degree below,
-    # and the coupled minimum-degree factor of A_h give the same means up
-    # to round-off
+def test_mirror_factor_agrees_with_the_coupled_factor(L, field,
+                                                      monkeypatch):
+    # the symmetric factor of the mirror basis's distinct half-blocks and
+    # the coupled minimum-degree factor of A_h, with partial pivoting, give
+    # the same means up to round-off
     import scipy.sparse.linalg as spla
 
     from mmdg import linalg
 
     cfg = RunConfig(L=L, M=20, N=3, field=field, seed=3)
-    nested = run_multimodes(cfg)
+    mirror = run_multimodes(cfg)
 
     def coupled(A):
         return linalg.Factorization(
@@ -168,12 +166,10 @@ def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
 
     monkeypatch.setattr(linalg, "factorize", coupled)
     ref = run_multimodes(cfg)
-    assert nested.diagnostics["factor"]["ordering"] == (
-        "nested_dissection" if L >= 5 else "mmd")
     assert ref.diagnostics["factor"]["ordering"] == "mmd"
-    assert (nested.diagnostics["factor"]["nnz_A"]
+    assert (mirror.diagnostics["factor"]["nnz_A"]
             == ref.diagnostics["factor"]["nnz_A"])
-    for a, b in zip([nested.psi, *nested.mode_means],
+    for a, b in zip([mirror.psi, *mirror.mode_means],
                     [ref.psi, *ref.mode_means]):
         assert diff_norm(a, b) <= 1e-10 * l2_norm(b)
 

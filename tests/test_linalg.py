@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse.linalg as spla
 from mmdg import linalg
 from mmdg.assembly import SystemMatrix, assemble_a_h, assemble_standard
 from mmdg.dg_core import CENTRE, DGField, eval_field
+from mmdg.driver import RunConfig, run_standard
 from mmdg.linalg import mirror_orbits
 from mmdg.mesh import build_uniform_mesh
 
@@ -82,6 +84,25 @@ def _cycle(L, cells, loc, k):
     c, m = loc // 4, loc % 4
     return (np.ravel_multi_index(tuple(np.roll(ijk, k, axis=0)), (L,) * 3),
             4 * ((c + k) % 3) + np.where(m == 0, 0, (m - 1 + k) % 3 + 1))
+
+
+# the arguments factorize gives every splu call: minimum degree on A + A^T,
+# the symmetric elimination tree, diagonal pivots down to 0.1 of a column
+THE_RULE = ("MMD_AT_PLUS_A", {"SymmetricMode": True, "DiagPivotThresh": 0.1})
+
+
+def _record_splu(monkeypatch):
+    """The list that (columns, (permc_spec, options)) of every later splu
+    call is appended to."""
+    calls = []
+    splu = spla.splu
+
+    def record(A, **kw):
+        calls.append((A.shape[0], (kw.get("permc_spec"), kw.get("options"))))
+        return splu(A, **kw)
+
+    monkeypatch.setattr(linalg.spla, "splu", record)
+    return calls
 
 
 def _halves_of(orbits, U):
@@ -224,9 +245,9 @@ def test_block_solve_shape_mismatch():
 
 
 def test_ordering_keeps_fill_low():
-    # the factor of the 8 distinct half-blocks, ordered by minimum degree
-    # below L=5, fills A_h 0.34x at L=4 (L + U hold 6 433 entries); the coupled
-    # factor filled it 6.3x with minimum degree on A + A^T and 10.2x with
+    # the symmetric factor of the 8 distinct half-blocks fills A_h 0.30x
+    # at L=4 (L + U hold 5 728 entries); the coupled factor with partial
+    # pivoting fills it 6.3x with minimum degree on A + A^T and 10.2x with
     # COLAMD
     A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
@@ -236,10 +257,9 @@ def test_ordering_keeps_fill_low():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_mirror_blocks_cut_the_fill(L):
-    # factoring the 8 distinct half-blocks apart fills 0.05x of the
-    # coupled factor's L + U at L=4 (minimum degree) and 0.05x at L=6
-    # (nested dissection, from L=5 on), so a silent return to the coupled
-    # factor fails here without any timing
+    # factoring the 8 distinct half-blocks apart fills 0.048x of the
+    # coupled minimum-degree factor's L + U at L=4 and 0.043x at L=6, so a
+    # silent return to the coupled factor fails here without any timing
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
     coupled = spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A")
@@ -291,21 +311,20 @@ def test_mirror_basis_is_square_and_grouped(L):
     assert np.array_equal(np.sort(columns), np.arange(12 * L**3))
     assert np.array_equal(sector[columns], np.nonzero(has)[1])
     # at every L the columns of sectors 0, 1, 3 and 7 run by
-    # representative in nested-dissection order of the representatives'
-    # box, then by local dof; the other sectors are numbered as their
-    # images under the axis cycle (test_cycled_sectors_are_numbered_as_images)
+    # representative in index order of the representatives' box, then by
+    # local dof; the other sectors are numbered as their images under the
+    # axis cycle (test_cycled_sectors_are_numbered_as_images)
     R = (L + 1) // 2
-    box = np.stack(np.unravel_index(np.arange(R**3), (R,) * 3), axis=1)
-    cells = np.ravel_multi_index(linalg._dissection(box).T, (L,) * 3)
+    box = np.unravel_index(np.arange(R**3), (R,) * 3)
+    cells = np.ravel_multi_index(box, (L,) * 3)
     in_order = orbits.column[cells].transpose(1, 0, 2)
     kept = orbits.sign[cells].transpose(1, 0, 2) != 0
     for s in (0, 1, 3, 7):
         assert np.array_equal(in_order[s][kept[s]],
                               np.flatnonzero(sector == s))
-    # only the factor's column ordering depends on L
+    # every factor reports the one ordering, at every L
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
-    assert linalg.factorize(A).stats["ordering"] == (
-        "nested_dissection" if L >= 5 else "mmd")
+    assert linalg.factorize(A).stats["ordering"] == "mmd"
     again = mirror_orbits(mesh)
     assert np.array_equal(again.column, orbits.column)
     assert all(np.array_equal(getattr(again.S, a), getattr(S, a))
@@ -379,43 +398,25 @@ def test_per_cell_is_the_block_diagonal_product():
             assert np.array_equal(block[:, col], linalg.per_cell(T, X[:, col]))
 
 
-@pytest.mark.parametrize("R", [1, 2, 3, 4, 5])
-def test_dissection_numbers_the_separator_last(R):
-    box = np.stack(np.unravel_index(np.arange(R**3), (R,) * 3), axis=1)
-    order = linalg._dissection(box)
-    assert sorted(map(tuple, order)) == list(map(tuple, box))
-    if R > 1:                        # the first cut is across axis 0
-        x, mid = order[:, 0], R // 2
-        lower, upper = np.count_nonzero(x < mid), np.count_nonzero(x > mid)
-        assert np.all(x[:lower] < mid) and np.all(x[lower:-R * R] > mid)
-        assert np.all(x[-R * R:] == mid) and lower + upper == R**3 - R * R
-        assert np.array_equal(order[-R * R:], box[box[:, 0] == mid])
-
-
-def test_nested_dissection_fills_less_than_minimum_degree():
-    # at L=6 the nested-dissection factor of the distinct half-blocks
-    # holds 52 758 entries (SuperLU.nnz, both parts), against 118 292 for
-    # minimum degree on the 4 distinct unsplit sector blocks and 67 544 for
-    # minimum degree on the distinct halves
-    mesh = build_uniform_mesh(6)
+@pytest.mark.parametrize("L", [5, 6, 8])
+def test_symmetric_factor_stores_less_than_partial_pivoting(L):
+    # SuperLU.nnz of both parts, symmetric factor against partial pivoting
+    # on the same half-blocks, by minimum degree and in their own (NATURAL)
+    # order: 15 466 against 29 331 and 21 282 at L=5, 41 840 against 66 924
+    # and 59 149 at L=6, 169 822 against 309 564 and 255 017 at L=8
+    mesh = build_uniform_mesh(L)
     A = assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1)
     fact = linalg.factorize(A)
-    orbits = mirror_orbits(mesh)
-    mmd = [spla.splu(block, permc_spec="MMD_AT_PLUS_A") for block in
-           linalg.half_blocks(A.matrix, _unsplit(orbits))[0]]
-    assert fact.ordering == "nested_dissection"
-    assert (fact.lu.L.nnz + fact.lu.U.nnz
-            <= sum(lu.L.nnz + lu.U.nnz for lu in mmd))
-    assert fact.lu.nnz <= sum(lu.nnz for lu in mmd)
-    halves_mmd = [spla.splu(block, permc_spec="MMD_AT_PLUS_A") for block in
-                  linalg.half_blocks(A.matrix, orbits)[0]]
-    assert fact.lu.nnz <= sum(lu.nnz for lu in halves_mmd)
-    assert fact.stats == {"ordering": "nested_dissection",
-                          "nnz_A": A.matrix.nnz, "nnz_LU": fact.lu.nnz}
+    blocks = linalg.half_blocks(A.matrix, mirror_orbits(mesh))[0]
+    for permc in ("MMD_AT_PLUS_A", "NATURAL"):
+        assert fact.lu.nnz < sum(spla.splu(block, permc_spec=permc).nnz
+                                 for block in blocks)
+    assert fact.stats == {"ordering": "mmd", "nnz_A": A.matrix.nnz,
+                          "nnz_LU": fact.lu.nnz}
 
 
 @pytest.mark.parametrize("L", [5, 8])
-def test_nested_dissection_backward_error(L):
+def test_symmetric_factor_backward_error(L):
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     rng = np.random.default_rng(L)
     n = A.matrix.shape[0]
@@ -429,14 +430,6 @@ def test_factorization_is_frozen():
                                          10.0, 0.1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         fact.cell_basis = None
-
-
-def test_small_meshes_keep_minimum_degree():
-    A = assemble_a_h(build_uniform_mesh(4), 2.0, 1.0, 10.0, 0.1)
-    assert linalg.factorize(A).stats["ordering"] == "mmd"
-    assert linalg.factorize(A.matrix).stats == {
-        "ordering": "mmd", "nnz_A": A.matrix.nnz,
-        "nnz_LU": spla.splu(A.matrix, permc_spec="MMD_AT_PLUS_A").nnz}
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -673,15 +666,12 @@ def test_half_blocks_refuse_a_wrong_pairing_table(L):
 
 
 def test_two_superlus_hold_the_eight_distinct_halves(monkeypatch):
-    # at L=5 the 0/7 and 1/3 parts keep their nested-dissection order;
+    # at L=5 the 0/7 and 1/3 parts are each factored by the one rule;
     # each holds n/4 columns, from sectors of different sizes
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(linalg.spla, "splu", lambda *args, **kw:
-                        calls.append(kw["permc_spec"]) or splu(*args, **kw))
+    calls = _record_splu(monkeypatch)
     mesh = build_uniform_mesh(5)
     fact = linalg.factorize(assemble_a_h(mesh, 2.0, 1.0, 10.0, 0.1))
-    assert calls == ["NATURAL", "NATURAL"]
+    assert calls == [(fact.n // 4, THE_RULE)] * 2
     fixed, cycled = fact.lu.parts
     assert isinstance(fixed, spla.SuperLU) and isinstance(cycled, spla.SuperLU)
     sizes = np.bincount(mirror_orbits(mesh).sector, minlength=8)
@@ -691,7 +681,59 @@ def test_two_superlus_hold_the_eight_distinct_halves(monkeypatch):
     assert fact.lu.nnz == fixed.nnz + cycled.nnz
     assert fact.lu.L.nnz + fact.lu.U.nnz == sum(
         lu.L.nnz + lu.U.nnz for lu in fact.lu.parts)
-    assert fact.stats["ordering"] == "nested_dissection"
+    assert fact.stats["ordering"] == "mmd"
+
+
+@pytest.mark.parametrize("L, kind", [(2, "mirror"), (5, "mirror"),
+                                     (4, "A_h"), (4, "A(alpha)")])
+def test_every_splu_call_gets_the_one_rule(L, kind, monkeypatch):
+    # both parts of the mirror factor, A_h's coupled factor, and one
+    # sample's A(alpha) as run_standard assembles and factors it
+    calls = _record_splu(monkeypatch)
+    if kind == "A(alpha)":
+        run_standard(RunConfig(L=L, M=1, N=1, seed=2))
+    else:
+        A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+        linalg.factorize(A if kind == "mirror" else A.matrix)
+    n = 12 * L**3
+    assert calls == ([(n // 4, THE_RULE)] * 2 if kind == "mirror" else
+                     [(n, THE_RULE)])
+
+
+@pytest.mark.parametrize("L", range(3, 9))
+def test_pivots_stay_on_the_diagonal(L):
+    # at the default parameters every pivot of both mirror parts, and of
+    # A_h's coupled factor at L=4, is its diagonal entry; full partial
+    # pivoting moved 6% (L=8) to 30% (L=3) of them off it
+    A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
+    parts = list(linalg.factorize(A).lu.parts)
+    if L == 4:
+        parts.append(linalg.factorize(A.matrix).lu)
+    for lu in parts:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_diagonal_pivots_keep_the_backward_error(L):
+    # the normwise backward error |A x - b| / (|A|_F |x| + |b|) of one
+    # solve, worst over a grid of k, lambda, gamma0, gamma1, stays below the
+    # unit round-off: 1.1e-17 at L=3 and 8.7e-18 at L=4 (full partial
+    # pivoting: 9.7e-18, 6.5e-18), and 2.7e-16, 2.1e-16 with no threshold
+    # (DIAG_PIVOT_THRESH = 0), where gamma0 = 0.  |A x - b| / |b| alone is
+    # set by the conditioning: its worst, 2.7e-12 and 4.1e-12 at k=0.5,
+    # lambda=0.1, gamma0=100, reads the same under full partial pivoting
+    mesh = build_uniform_mesh(L)
+    rng = np.random.default_rng(L)
+    b = rng.normal(size=12 * L**3) + 1j * rng.normal(size=12 * L**3)
+    worst = 0.0
+    for k, lam, gamma0, gamma1 in itertools.product(
+            [0.5, 2.0, 8.0, 20.0], [0.1, 1.0, 10.0], [0.0, 1.0, 10.0, 100.0],
+            [0.0, 0.1, 1.0]):
+        A = assemble_a_h(mesh, k, lam, gamma0, gamma1)
+        x = linalg.solve(linalg.factorize(A), b)
+        worst = max(worst, np.linalg.norm(A.matrix @ x - b) / (
+            spla.norm(A.matrix) * np.linalg.norm(x) + np.linalg.norm(b)))
+    assert worst <= 1e-16
 
 
 def _sector_diagonal_of_product(mesh, A):
