@@ -134,8 +134,9 @@ def test_reproducibility_and_worker_invariance():
 
 
 @pytest.mark.parametrize("M", [5, 37])
-def test_worker_invariance_of_the_mirror_factor(M):
-    # L=6 factors the two distinct half-blocks by the one symmetric rule
+def test_worker_invariance_under_nested_dissection(M):
+    # named for the nested-dissection order the mirror factor once used; L=6
+    # now factors the two distinct half-blocks by the one symmetric rule
     cfg = RunConfig(L=6, M=M, N=3, seed=11)
     runs = [run_multimodes(dataclasses.replace(cfg, workers=w))
             for w in (1, 2, 3, 1)]
@@ -146,9 +147,10 @@ def test_worker_invariance_of_the_mirror_factor(M):
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 @pytest.mark.parametrize("field", FIELD_KINDS)
-def test_mirror_factor_agrees_with_the_coupled_factor(L, field,
-                                                      monkeypatch):
-    # the symmetric factor of the mirror basis's distinct half-blocks and
+def test_nested_dissection_agrees_with_the_coupled_factor(L, field,
+                                                          monkeypatch):
+    # named for the nested-dissection order the mirror factor once used: the
+    # symmetric factor of the mirror basis's distinct half-blocks and
     # the coupled minimum-degree factor of A_h, with partial pivoting, give
     # the same means up to round-off
     import scipy.sparse.linalg as spla

@@ -416,7 +416,9 @@ def test_symmetric_factor_stores_less_than_partial_pivoting(L):
 
 
 @pytest.mark.parametrize("L", [5, 8])
-def test_symmetric_factor_backward_error(L):
+def test_nested_dissection_backward_error(L):
+    # named for the nested-dissection order the mirror factor once used; it
+    # bounds the residual of the symmetric factor
     A = assemble_a_h(build_uniform_mesh(L), 2.0, 1.0, 10.0, 0.1)
     rng = np.random.default_rng(L)
     n = A.matrix.shape[0]
